@@ -42,6 +42,7 @@ from .confidence import (
 )
 from .dataset import inject_label_noise, load_csv, save_csv
 from .harness import (
+    BOOST_KEYS,
     ExperimentConfig,
     run_corr,
     run_disc,
@@ -281,8 +282,31 @@ def cmd_bench(args) -> int:
             return flag_value
         return file_cfg.get(key, default)
 
+    # boost settings live only in the "boost" block, under the keys a
+    # results.json config echo writes, so an echoed config replays exactly
+    misplaced = sorted(set(file_cfg) & {"stop", *BOOST_KEYS})
+    if misplaced:
+        raise ValueError(f"{args.config}: {', '.join(misplaced)} must sit inside the 'boost' block")
     boost_cfg = file_cfg.get("boost", {})
-    stop_rule, a = _parse_stop(pick(args.stop, "stop", "fixed"))
+    if not isinstance(boost_cfg, dict):
+        raise ValueError(f"{args.config}: 'boost' must be a JSON object")
+    unknown = sorted(set(boost_cfg) - set(BOOST_KEYS))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: unknown boost setting {', '.join(unknown)}, expected some of {', '.join(BOOST_KEYS)}"
+        )
+    defaults = BoostConfig()
+    try:
+        boost = BoostConfig(**{key: type(getattr(defaults, key))(v) for key, v in boost_cfg.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.config}: bad boost setting: {exc}") from None
+    if args.iterations is not None:
+        boost = replace(boost, max_iterations=args.iterations)
+    if args.mode is not None:
+        boost = replace(boost, learner_mode=args.mode)
+    if args.stop is not None:
+        stop_rule, a = _parse_stop(args.stop)
+        boost = replace(boost, stop_rule=stop_rule, consistency_a=a)
     cfg = ExperimentConfig(
         scenario=pick(args.scenario, "scenario", "normal"),
         train_n=int(pick(args.train_n, "train_n", 500)),
@@ -309,12 +333,7 @@ def cmd_bench(args) -> int:
                 else file_cfg.get("filter_thresholds", DEFAULT_THRESHOLDS)
             )
         ),
-        boost=BoostConfig(
-            max_iterations=int(pick(args.iterations, "max_iterations", boost_cfg.get("max_iterations", 200))),
-            learner_mode=pick(args.mode, "learner_mode", boost_cfg.get("learner_mode", "weighted")),
-            stop_rule=stop_rule,
-            consistency_a=a,
-        ),
+        boost=boost,
         jobs=args.jobs,
     )
     os.makedirs(args.out_dir, exist_ok=True)

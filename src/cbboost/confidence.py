@@ -12,10 +12,20 @@ a prior that accounts for a known flip rate.
 Distances are Euclidean on z-scored features; the scaler is fitted once on
 the full dataset so filtering never shifts the geometry. Neighbor ties at
 equal distance resolve to the lower row index.
+
+Neighbors are found exactly, by query blocks of about a million pairwise
+differences, so no n x n matrix is ever held. The filter searches every
+row's 4k nearest rows once and serves all its rounds from that table,
+searching again only for a row with fewer than k table entries left (in
+practice, rows whose entire neighbourhood the filter removed); the kNN vote
+is one more pass over n x kept. Cost is O(n^2) time and O(block*n + n*k)
+memory, with the same tie rule. CBBOOST_LOG=DEBUG logs one line per filter
+round: threshold, survivors in, rows removed, and re-searched rows.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +52,11 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (0.07, 0.14, 0.21)
 DEFAULT_K = 5
+
+# doubles in one query block's pairwise temporary (8 MB)
+_BLOCK = 1 << 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -106,22 +121,43 @@ class FilterReport:
 
 
 def _sq_dists(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    # exact per-pair differences, chunked to bound the temporary; the usual
-    # |a|^2 + |b|^2 - 2ab expansion is faster but its rounding can split true
-    # distance ties, which would break the lower-index tie rule
-    q, p = queries.shape
-    m = refs.shape[0]
-    out = np.empty((q, m), dtype=np.float64)
-    block = max(1, int(8e6 / max(m * p, 1)))
-    for s in range(0, q, block):
-        d = queries[s : s + block, None, :] - refs[None, :, :]
-        out[s : s + block] = np.einsum("ijk,ijk->ij", d, d)
+    # exact per-pair differences; the usual |a|^2 + |b|^2 - 2ab expansion is
+    # faster but its rounding can split true distance ties, which would break
+    # the lower-index tie rule. d is filled one feature at a time for long
+    # inner loops; the reduction stays one einsum over the contiguous
+    # (q, m, p) array, so every pair's sum runs in the same fixed order.
+    d = np.empty((queries.shape[0],) + refs.shape)
+    for j in range(refs.shape[1]):
+        np.subtract(queries[:, j, None], refs[None, :, j], out=d[:, :, j])
+    return np.einsum("ijk,ijk->ij", d, d)
+
+
+def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
+    """Reference positions of each query's k nearest refs, in (distance, position) order.
+
+    exclude[i] >= 0 names a reference position query i may not pick (itself);
+    -1 excludes nothing. Queries run in blocks so the pairwise temporary stays
+    near _BLOCK doubles. A row is ordered by sorting its argpartition top-k;
+    a row where ties straddle the k-th distance is redone from all candidates
+    at or below it, so equal distances always resolve to the lower position.
+    """
+    m, p = refs.shape
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
+    step = max(1, _BLOCK // (m * p))
+    for s in range(0, queries.shape[0], step):
+        d2 = _sq_dists(queries[s : s + step], refs)
+        ex = exclude[s : s + step]
+        own = np.flatnonzero(ex >= 0)
+        d2[own, ex[own]] = np.inf
+        top = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+        td = np.take_along_axis(d2, top, axis=1)
+        nearest = np.take_along_axis(top, np.argsort(td, axis=1, kind="stable"), axis=1)
+        kth = td.max(axis=1, keepdims=True)
+        for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+            cand = np.flatnonzero(d2[r] <= kth[r])
+            nearest[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
+        out[s : s + step] = nearest
     return out
-
-
-def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    # stable argsort keeps the lower reference position first on exact ties
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
@@ -152,18 +188,37 @@ def noise_filter(
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     X = _standardized(ds, standardize)
+    y = ds.labels
     surv = np.arange(ds.n)
+    # every row's 4k nearest others, searched once: the table is a prefix of
+    # the row's (distance, index) order over all rows, so its first k
+    # survivors are exactly the row's k nearest survivors
+    if ds.n > k:
+        table = _k_nearest(X, X, min(4 * k, ds.n - 1), surv)
     rounds: list[FilterRound] = []
     aborted = False
-    for t in thresholds:
+    for r, t in enumerate(thresholds, start=1):
         if surv.size <= k:
             aborted = True
             break
-        d2 = _sq_dists(X[surv], X[surv])
-        np.fill_diagonal(d2, np.inf)
-        nbr = _k_nearest(d2, k)
-        agree = (ds.labels[surv][nbr] == ds.labels[surv][:, None]).mean(axis=1)
+        alive = np.zeros(ds.n, dtype=bool)
+        alive[surv] = True
+        cand = table[surv]
+        live = alive[cand]
+        take = live & (np.cumsum(live, axis=1) <= k)
+        short = np.count_nonzero(take, axis=1) < k
+        nbr = np.empty((surv.size, k), dtype=np.int64)
+        nbr[~short] = cand[~short][take[~short]].reshape(-1, k)
+        # rows with fewer than k table entries left: search the survivors again
+        redo = np.flatnonzero(short)
+        if redo.size:
+            nbr[redo] = surv[_k_nearest(X[surv[redo]], X[surv], k, redo)]
+        agree = (y[nbr] == y[surv][:, None]).mean(axis=1)
         out = agree < t
+        log.debug(
+            "filter round %d: threshold %g, %d survivors in, %d removed, %d exact re-searches",
+            r, t, surv.size, np.count_nonzero(out), redo.size,
+        )
         rounds.append(FilterRound(t, surv[out]))
         surv = surv[~out]
     return FilterReport(n=ds.n, kept=surv, rounds=tuple(rounds), aborted=aborted)
@@ -186,12 +241,9 @@ def knn_confidence(
     if kept.size <= k:
         raise ValueError(f"reference set has {kept.size} rows, need more than k={k}")
     X = _standardized(ds, standardize)
-    d2 = _sq_dists(X, X[kept])
     pos = np.full(ds.n, -1, dtype=np.int64)
     pos[kept] = np.arange(kept.size)
-    own = np.flatnonzero(pos >= 0)
-    d2[own, pos[own]] = np.inf
-    nbr = _k_nearest(d2, k)
+    nbr = _k_nearest(X, X[kept], k, pos)
     gamma = (ds.labels[kept][nbr] == ds.labels[:, None]).mean(axis=1)
     return ConfidenceVector(gamma)
 

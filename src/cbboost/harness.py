@@ -42,9 +42,13 @@ __all__ = [
     "table_to_json",
     "table_to_csv",
     "parse_method",
+    "BOOST_KEYS",
 ]
 
 KNOWN_METHODS = ("stump", "adaboost", "cb", "disc", "corr")
+# the BoostConfig fields a grid's config echo records; each repetition's
+# boosting seed is derived from base_seed, so seed is not one of them
+BOOST_KEYS = ("max_iterations", "learner_mode", "stop_rule", "consistency_a", "epsilon_clamp")
 
 
 def derive_seed(base_seed: int, rep: int, stage: str) -> int:
@@ -300,13 +304,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "confidence_form": cfg.confidence_form,
         "k": cfg.k,
         "filter_thresholds": list(cfg.filter_thresholds),
-        "boost": {
-            "max_iterations": cfg.boost.max_iterations,
-            "learner_mode": cfg.boost.learner_mode,
-            "stop_rule": cfg.boost.stop_rule,
-            "consistency_a": cfg.boost.consistency_a,
-            "epsilon_clamp": cfg.boost.epsilon_clamp,
-        },
+        "boost": {key: getattr(cfg.boost, key) for key in BOOST_KEYS},
     }
 
 

@@ -344,6 +344,36 @@ class TestBench:
         assert cell["method"] == "stump"
         assert cell["stops"] == [1, 1]
 
+    def test_results_config_replays_exactly(self, tmp_path, capsys):
+        boost = {"max_iterations": 4, "stop_rule": "consistency", "consistency_a": 0.3, "epsilon_clamp": 1e-6}
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({
+            "train_n": 40, "test_n": 100, "noise_levels": [0.1], "methods": ["cb"],
+            "repetitions": 1, "base_seed": 3, "boost": boost,
+        }))
+        run_ok(capsys, "bench", "--config", str(first), "--out-dir", str(tmp_path / "r1"))
+        echoed = json.loads((tmp_path / "r1" / "results.json").read_text())["config"]
+        assert echoed["boost"] == {**boost, "learner_mode": "weighted"}
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(echoed))
+        run_ok(capsys, "bench", "--config", str(replay), "--out-dir", str(tmp_path / "r2"))
+        assert (tmp_path / "r2" / "results.json").read_text() == (tmp_path / "r1" / "results.json").read_text()
+
+    @pytest.mark.parametrize("body", [
+        {"stop": "consistency:0.3"},
+        {"max_iterations": 6},
+        {"boost": {"stop": "consistency:0.3"}},
+        {"boost": {"max_iterations": None}},
+        {"boost": {"max_iterations": "abc"}},
+    ])
+    def test_boost_settings_outside_the_block_rejected(self, tmp_path, capsys, body):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(body))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "boost" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_shape(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("[1, 2]")

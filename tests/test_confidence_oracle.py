@@ -1,0 +1,176 @@
+"""Blocked neighbor search against the full-matrix reference implementation.
+
+The oracle below is the original confidence code: every filter round builds
+the survivors' whole distance matrix and ranks each row with a stable
+argsort, so equal distances keep the lower index first. The blocked
+argpartition search must reproduce its reports and gammas bit for bit.
+"""
+
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cbboost import confidence
+from cbboost.confidence import (
+    DEFAULT_K,
+    DEFAULT_THRESHOLDS,
+    ConfidenceVector,
+    FilterReport,
+    FilterRound,
+    estimate_confidence,
+    knn_confidence,
+    noise_filter,
+)
+from cbboost.dataset import Dataset, inject_label_noise
+from cbboost.synth import gen_normal
+
+
+def oracle_sq_dists(queries, refs):
+    q, p = queries.shape
+    m = refs.shape[0]
+    out = np.empty((q, m), dtype=np.float64)
+    block = max(1, int(8e6 / max(m * p, 1)))
+    for s in range(0, q, block):
+        d = queries[s : s + block, None, :] - refs[None, :, :]
+        out[s : s + block] = np.einsum("ijk,ijk->ij", d, d)
+    return out
+
+
+def oracle_k_nearest(d2, k):
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def oracle_noise_filter(ds, k=DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, standardize=True):
+    X = confidence._standardized(ds, standardize)
+    surv = np.arange(ds.n)
+    rounds = []
+    aborted = False
+    for t in thresholds:
+        if surv.size <= k:
+            aborted = True
+            break
+        d2 = oracle_sq_dists(X[surv], X[surv])
+        np.fill_diagonal(d2, np.inf)
+        nbr = oracle_k_nearest(d2, k)
+        agree = (ds.labels[surv][nbr] == ds.labels[surv][:, None]).mean(axis=1)
+        out = agree < t
+        rounds.append(FilterRound(t, surv[out]))
+        surv = surv[~out]
+    return FilterReport(n=ds.n, kept=surv, rounds=tuple(rounds), aborted=aborted)
+
+
+def oracle_knn_confidence(ds, reduced, k=DEFAULT_K, standardize=True):
+    kept = reduced.kept
+    X = confidence._standardized(ds, standardize)
+    d2 = oracle_sq_dists(X, X[kept])
+    pos = np.full(ds.n, -1, dtype=np.int64)
+    pos[kept] = np.arange(kept.size)
+    own = np.flatnonzero(pos >= 0)
+    d2[own, pos[own]] = np.inf
+    nbr = oracle_k_nearest(d2, k)
+    return ConfidenceVector((ds.labels[kept][nbr] == ds.labels[:, None]).mean(axis=1))
+
+
+def assert_same_report(got, want):
+    assert got.aborted == want.aborted
+    assert np.array_equal(got.kept, want.kept)
+    assert len(got.rounds) == len(want.rounds)
+    for g, w in zip(got.rounds, want.rounds):
+        assert g.threshold == w.threshold
+        assert np.array_equal(g.removed, w.removed)
+
+
+def assert_matches_oracle(ds, k, thresholds=DEFAULT_THRESHOLDS, standardize=True):
+    report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize)
+    want = oracle_noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize)
+    assert_same_report(report, want)
+    if want.n_kept > k:
+        got = knn_confidence(ds, want, k=k, standardize=standardize)
+        ref = oracle_knn_confidence(ds, want, k=k, standardize=standardize)
+        assert got.gamma.tobytes() == ref.gamma.tobytes()
+    return report
+
+
+def grid_dataset(n, p, seed):
+    # few integer levels per feature: many duplicated rows and exact distance ties
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, p)).astype(np.float64)
+    score = X.sum(axis=1) - 1.5 * p + rng.normal(0.0, 1.0, n)
+    return Dataset(X, np.where(score >= 0, 1, -1))
+
+
+def fallback_dataset(k):
+    # a +1 center whose 4k nearest rows are +1 spokes, each with a -1 partner
+    # closer to it than the center; round one removes every spoke and partner
+    # but keeps the center, whose whole table is then gone
+    ang = 2.0 * np.pi * np.arange(4 * k) / (4 * k)
+    unit = np.column_stack([np.cos(ang), np.sin(ang)])
+    far = 20.0 + np.arange(3 * k + 2, dtype=np.float64)[:, None] * np.array([[0.3, 0.0]])
+    X = np.vstack([[[0.0, 0.0]], unit, 1.2 * unit, far])
+    y = np.concatenate([[1], np.ones(4 * k), -np.ones(4 * k), np.ones(far.shape[0])])
+    return Dataset(X, y.astype(np.int64))
+
+
+@pytest.fixture(params=["one block", "tiny blocks"])
+def block(request, monkeypatch):
+    if request.param == "tiny blocks":
+        monkeypatch.setattr(confidence, "_BLOCK", 64)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_grid_ties_match_oracle(block, p, k, standardize):
+    ds = grid_dataset(90, p, seed=10 * p + k)
+    _, counts = np.unique(ds.features, axis=0, return_counts=True)
+    assert counts.max() > 1
+    assert_matches_oracle(ds, k, standardize=standardize)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_noisy_normal_matches_oracle(block, k):
+    noisy, _ = inject_label_noise(gen_normal(400, seed=k), 0.3, seed=k)
+    report = assert_matches_oracle(noisy, k, thresholds=(0.2, 0.4, 0.6))
+    assert report.rounds[0].removed.size > 0
+
+
+def test_aborted_schedule_matches_oracle(block):
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.normal(size=(30, 2)), rng.choice([-1, 1], size=30))
+    report = assert_matches_oracle(ds, 5, thresholds=(0.5, 0.7, 0.9))
+    assert report.aborted
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exhausted_table_falls_back_to_exact_search(block, k, caplog):
+    ds = fallback_dataset(k)
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
+        report = assert_matches_oracle(ds, k, thresholds=(0.6, 0.7), standardize=False)
+    assert 0 in report.kept
+    assert report.rounds[0].removed.tolist() == list(range(1, 8 * k + 1))
+    re_searched = [rec.args[-1] for rec in caplog.records if rec.name == "cbboost.confidence"]
+    assert re_searched == [0, 1]
+
+
+def test_filter_round_debug_lines(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
+        report = noise_filter(fallback_dataset(1), k=1, thresholds=(0.6, 0.7), standardize=False)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "cbboost.confidence"]
+    assert lines == [
+        "filter round 1: threshold 0.6, 14 survivors in, 8 removed, 0 exact re-searches",
+        f"filter round 2: threshold 0.7, 6 survivors in, {report.rounds[1].removed.size} removed, "
+        "1 exact re-searches",
+    ]
+
+
+def test_peak_memory_below_one_full_matrix():
+    noisy, _ = inject_label_noise(gen_normal(3000, seed=0), 0.2, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_confidence(noisy, method="knn")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8
