@@ -1,31 +1,30 @@
-"""Exponential-loss boosting over decision stumps, plain and confidence-weighted.
+"""Exponential-loss boosting over decision stumps, confidence-weighted.
 
-train_adaboost keeps one weight per instance and at each round fits a stump
-to the normalized weights, sets its vote from the log-odds of its weighted
-accuracy, and multiplies each weight by exp(-y * beta * h(x)).
+One engine serves both trainers. It keeps two weights per instance, one
+behind each reading of its label: w_observed tracks "the recorded label is
+right" and w_flipped "it is wrong", initialized from a per-label confidence
+gamma as gamma / n and (1 - gamma) / n. Each round trains the stump on
+effective labels sign(w_observed - w_flipped) * y with sampling weights
+proportional to the gap between the two readings, votes by the log-odds of a
+correctness mass crediting w_observed where the stump matches the observed
+label and w_flipped where it disagrees, then scales w_observed by
+exp(-y * beta * h) and w_flipped by the reciprocal factor.
 
-train_cb_adaboost keeps two weights per instance, one behind each reading of
-its label: w_observed tracks "the recorded label is right" and w_flipped "it
-is wrong", initialized from a per-label confidence gamma. Each round trains
-the stump on effective labels sign(w_observed - w_flipped) * y with sampling
-weights proportional to the gap between the two readings, votes by the
-log-odds of a correctness mass crediting w_observed where the stump matches
-the observed label and w_flipped where it disagrees, then scales w_observed
-by exp(-y * beta * h) and w_flipped by the reciprocal
-factor. With gamma identically 1 every quantity reduces term by term to the
-plain algorithm, bitwise: both engines carry weights on the same 1/n scale
-and share the vote computation.
+train_cb_adaboost runs the engine on a given gamma. train_adaboost is plain
+AdaBoost, the engine with gamma identically 1: w_flipped stays 0, the
+effective labels are the observed ones, and every quantity reduces term by
+term to the classical single-weight recursion, bitwise.
 
-Both trainers stop early when the vote would be nonpositive (the weak
-learner no longer beats weighted chance) and record a full per-iteration
-trace for diagnostics and invariant checks.
+Training stops early when the vote would be nonpositive (the weak learner no
+longer beats weighted chance) and records a full per-iteration trace for
+diagnostics and invariant checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +206,6 @@ def empirical_risk(ensemble: Ensemble, ds: Dataset, gamma: ConfidenceVector | No
 def _vote_from_sums(right: float, wrong: float, clamp: float) -> tuple[float, float]:
     # beta = 0.5 ln((1-e)/e) with e = wrong/(right+wrong); the raw e is
     # reported, the clamped e keeps the vote finite on separable rounds.
-    # Shared by both engines so the gamma==1 reduction is bitwise.
     total = right + wrong
     raw = wrong / total
     e = min(max(raw, clamp), 1.0 - clamp)
@@ -229,58 +227,80 @@ def _check_trainable(ds: Dataset):
         raise ValueError("training data contains a single class")
 
 
-def train_adaboost(train: Dataset, cfg: BoostConfig = BoostConfig()) -> tuple[Ensemble, BoostTrace]:
-    """Plain exponential-loss boosting; stops when no stump beats weighted chance."""
-    _check_trainable(train)
+def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
+    # the one boosting loop; plain AdaBoost is the call with g identically 1,
+    # where w_flip stays 0, every extra term adds exact zeros and the result
+    # equals the classical single-weight recursion bit for bit
     X = train.features
     y = train.labels
     n = train.n
+    w_obs = g / n
+    w_flip = (1.0 - g) / n
+    if float(np.abs(w_obs - w_flip).sum()) <= 0.0:
+        raise ValueError("every gamma equals 0.5: no informative instance to boost on")
     rng = np.random.default_rng(cfg.seed)
-    w = np.full(n, 1.0 / n)
-    zeros = np.zeros(n)
     rows: list[TraceRow] = []
     terms: list[tuple[float, Stump]] = []
     stopped_early = False
-    cap = cfg.iteration_cap(n)
-    for _ in range(cap):
-        S = float(np.sum(w))
-        if not np.isfinite(S) or S <= 0.0:
+    for _ in range(cfg.iteration_cap(n)):
+        diff = w_obs - w_flip
+        absdiff = np.abs(diff)
+        # ndarray.sum is np.sum without its dispatch cost, same reduction and bits
+        S = float(absdiff.sum())
+        if not math.isfinite(S) or S <= 0.0:
             stopped_early = True
             break
-        D = w / S
-        stump = _fit_weak(X, y, D, cfg, rng)
+        D = absdiff / S
+        yprime = np.where(diff >= 0.0, y, -y)
+        stump = _fit_weak(X, yprime, D, cfg, rng)
         h = stump.predict(X)
         wrong = h != y
-        right_mass = float(np.sum(w[~wrong]))
-        wrong_mass = float(np.sum(w[wrong]))
-        beta, raw_err = _vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
+        right = ~wrong
+        right_mass = float(w_obs[right].sum()) + float(w_flip[wrong].sum())
+        wrong_mass = float(w_obs[wrong].sum()) + float(w_flip[right].sum())
+        beta, _ = _vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
+        # the stump's own error is measured against the effective labels it
+        # was trained on
+        wrong_eff = h != yprime
+        _, raw_err = _vote_from_sums(
+            float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), cfg.epsilon_clamp
+        )
         if beta <= 0.0:
             stopped_early = True
             break
-        w_new = w * np.exp(-(y * beta) * h)
+        # -(a * h) == (-a) * h exactly, so one product serves both factors
+        margin = (y * beta) * h
+        w_obs_new = w_obs * np.exp(-margin)
+        w_flip_new = w_flip * np.exp(margin)
         rows.append(
             TraceRow(
-                w_observed=w,
-                w_flipped=zeros,
+                w_observed=w_obs,
+                w_flipped=w_flip,
                 sample_weights=D,
-                effective_labels=y,
+                effective_labels=yprime,
                 predictions=h,
                 beta=beta,
                 weighted_error=raw_err,
-                risk_after=float(np.sum(w_new)),
+                risk_after=float((w_obs_new + w_flip_new).sum()),
             )
         )
         terms.append((beta, stump))
-        w = w_new
+        w_obs, w_flip = w_obs_new, w_flip_new
     trace = BoostTrace(
         rows=tuple(rows),
-        final_w_observed=w,
-        final_w_flipped=zeros,
+        final_w_observed=w_obs,
+        final_w_flipped=w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stopped_early=stopped_early,
     )
     return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace
+
+
+def train_adaboost(train: Dataset, cfg: BoostConfig = BoostConfig()) -> tuple[Ensemble, BoostTrace]:
+    """Plain exponential-loss boosting; stops when no stump beats weighted chance."""
+    _check_trainable(train)
+    return _boost(train, np.ones(train.n), cfg)
 
 
 def train_cb_adaboost(
@@ -295,70 +315,7 @@ def train_cb_adaboost(
     _check_trainable(train)
     if gamma.n != train.n:
         raise ValueError(f"gamma length {gamma.n} does not match {train.n} rows")
-    X = train.features
-    y = train.labels
-    n = train.n
-    # same 1/n scale as the plain trainer so gamma==1 reduces to it bitwise
-    w_obs = gamma.gamma / n
-    w_flip = (1.0 - gamma.gamma) / n
-    if float(np.sum(np.abs(w_obs - w_flip))) <= 0.0:
-        raise ValueError("every gamma equals 0.5: no informative instance to boost on")
-    rng = np.random.default_rng(cfg.seed)
-    rows: list[TraceRow] = []
-    terms: list[tuple[float, Stump]] = []
-    stopped_early = False
-    cap = cfg.iteration_cap(n)
-    for _ in range(cap):
-        diff = w_obs - w_flip
-        absdiff = np.abs(diff)
-        S = float(np.sum(absdiff))
-        if not np.isfinite(S) or S <= 0.0:
-            stopped_early = True
-            break
-        D = absdiff / S
-        yprime = np.where(diff >= 0.0, y, -y)
-        stump = _fit_weak(X, yprime, D, cfg, rng)
-        h = stump.predict(X)
-        wrong = h != y
-        right_mass = float(np.sum(w_obs[~wrong])) + float(np.sum(w_flip[wrong]))
-        wrong_mass = float(np.sum(w_obs[wrong])) + float(np.sum(w_flip[~wrong]))
-        beta, _ = _vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
-        # the stump's own error is measured against the effective labels it
-        # was trained on; computed from the same masked-sum expressions as
-        # the plain trainer so the gamma==1 reduction stays bitwise
-        wrong_eff = h != yprime
-        _, raw_err = _vote_from_sums(
-            float(np.sum(absdiff[~wrong_eff])), float(np.sum(absdiff[wrong_eff])), cfg.epsilon_clamp
-        )
-        if beta <= 0.0:
-            stopped_early = True
-            break
-        upd = np.exp(-(y * beta) * h)
-        w_obs_new = w_obs * upd
-        w_flip_new = w_flip * np.exp((y * beta) * h)
-        rows.append(
-            TraceRow(
-                w_observed=w_obs,
-                w_flipped=w_flip,
-                sample_weights=D,
-                effective_labels=yprime,
-                predictions=h,
-                beta=beta,
-                weighted_error=raw_err,
-                risk_after=float(np.sum(w_obs_new + w_flip_new)),
-            )
-        )
-        terms.append((beta, stump))
-        w_obs, w_flip = w_obs_new, w_flip_new
-    trace = BoostTrace(
-        rows=tuple(rows),
-        final_w_observed=w_obs,
-        final_w_flipped=w_flip,
-        observed_labels=y,
-        epsilon_clamp=cfg.epsilon_clamp,
-        stopped_early=stopped_early,
-    )
-    return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace
+    return _boost(train, gamma.gamma, cfg)
 
 
 @dataclass(frozen=True)

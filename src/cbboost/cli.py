@@ -26,13 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .boost import (
-    BoostConfig,
-    load_ensemble,
-    save_ensemble,
-    train_adaboost,
-    train_cb_adaboost,
-)
+from .boost import BoostConfig, load_ensemble, save_ensemble
 from .confidence import (
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
@@ -43,9 +37,9 @@ from .confidence import (
 from .dataset import inject_label_noise, load_csv, save_csv
 from .harness import (
     BOOST_KEYS,
+    METHODS,
     ExperimentConfig,
-    run_corr,
-    run_disc,
+    fit_method,
     run_experiment,
     table_to_csv,
     table_to_json,
@@ -101,6 +95,13 @@ def _parse_stop(text: str) -> tuple[str, float]:
         a = float(arg) if arg else 0.5
         return "consistency", a
     raise ValueError(f"unknown stop rule {text!r}, expected fixed or consistency:A")
+
+
+def _as_type_of(default, value, what: str):
+    # int() alone would truncate 4.7 to 4 without a word
+    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return type(default)(value)
 
 
 def _boost_config(args) -> BoostConfig:
@@ -204,28 +205,21 @@ def cmd_train(args) -> int:
     t0 = time.monotonic()
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     cfg = _boost_config(args)
+    method = METHODS[args.algo]
     inputs = [args.infile]
-    if args.algo in ("cb", "disc", "corr"):
+    gamma = None
+    if method.needs_gamma:
         if not args.gamma:
             raise ValueError(f"--algo {args.algo} requires --gamma")
         gamma = read_gamma_csv(args.gamma)
         inputs.append(args.gamma)
-    if args.algo == "stump":
-        ensemble, _ = train_adaboost(ds, replace(cfg, max_iterations=1))
-    elif args.algo == "adaboost":
-        ensemble, _ = train_adaboost(ds, cfg)
-    elif args.algo == "cb":
-        ensemble, _ = train_cb_adaboost(ds, gamma, cfg)
-    elif args.algo == "disc":
-        ensemble, _ = run_disc(ds, gamma, args.threshold, cfg)
-    else:
-        ensemble, _ = run_corr(ds, gamma, args.threshold, cfg)
+    ensemble = fit_method(args.algo, args.threshold, ds, gamma, cfg)
     config = {
         "algo": args.algo,
         "iterations": args.iterations,
         "mode": args.mode,
         "stop": args.stop,
-        "threshold": args.threshold if args.algo in ("disc", "corr") else None,
+        "threshold": args.threshold if method.takes_threshold else None,
         "label_column": args.label_column,
         "positive_label": args.positive_label,
         "manifest": f"{args.out}.manifest.json",
@@ -276,11 +270,17 @@ def cmd_bench(args) -> int:
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: bench config must be a JSON object")
         inputs.append(args.config)
-    # flags override file values; file values override defaults
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
+    defaults = ExperimentConfig()
+
+    # flags override file values; file values override ExperimentConfig's defaults
+    def pick(flag_value, key):
+        return flag_value if flag_value is not None else file_cfg.get(key, getattr(defaults, key))
+
+    def pick_int(flag_value, key):
+        return _as_type_of(getattr(defaults, key), pick(flag_value, key), f"{args.config}: {key}")
+
+    def pick_reals(flag_text, key):
+        return tuple(float(x) for x in pick(None if flag_text is None else _parse_thresholds(flag_text), key))
 
     # boost settings live only in the "boost" block, under the keys a
     # results.json config echo writes, so an echoed config replays exactly
@@ -295,9 +295,8 @@ def cmd_bench(args) -> int:
         raise ValueError(
             f"{args.config}: unknown boost setting {', '.join(unknown)}, expected some of {', '.join(BOOST_KEYS)}"
         )
-    defaults = BoostConfig()
     try:
-        boost = BoostConfig(**{key: type(getattr(defaults, key))(v) for key, v in boost_cfg.items()})
+        boost = BoostConfig(**{k: _as_type_of(getattr(defaults.boost, k), v, k) for k, v in boost_cfg.items()})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.config}: bad boost setting: {exc}") from None
     if args.iterations is not None:
@@ -308,31 +307,17 @@ def cmd_bench(args) -> int:
         stop_rule, a = _parse_stop(args.stop)
         boost = replace(boost, stop_rule=stop_rule, consistency_a=a)
     cfg = ExperimentConfig(
-        scenario=pick(args.scenario, "scenario", "normal"),
-        train_n=int(pick(args.train_n, "train_n", 500)),
-        test_n=int(pick(args.test_n, "test_n", 10000)),
-        noise_levels=tuple(
-            float(x) for x in (
-                _parse_thresholds(args.noise_levels)
-                if args.noise_levels is not None
-                else file_cfg.get("noise_levels", (0.0, 0.1, 0.2, 0.3))
-            )
-        ),
-        methods=tuple(
-            args.methods.split(",") if args.methods is not None else file_cfg.get("methods", ("adaboost", "cb"))
-        ),
-        repetitions=int(pick(args.repetitions, "repetitions", 30)),
-        base_seed=int(pick(args.seed, "base_seed", 20240501)),
-        confidence_method=pick(args.confidence_method, "confidence_method", "knn"),
-        confidence_form=pick(args.form, "confidence_form", "consistent"),
-        k=int(pick(args.k, "k", DEFAULT_K)),
-        filter_thresholds=tuple(
-            float(x) for x in (
-                _parse_thresholds(args.filter_thresholds)
-                if args.filter_thresholds is not None
-                else file_cfg.get("filter_thresholds", DEFAULT_THRESHOLDS)
-            )
-        ),
+        scenario=pick(args.scenario, "scenario"),
+        train_n=pick_int(args.train_n, "train_n"),
+        test_n=pick_int(args.test_n, "test_n"),
+        noise_levels=pick_reals(args.noise_levels, "noise_levels"),
+        methods=tuple(pick(None if args.methods is None else args.methods.split(","), "methods")),
+        repetitions=pick_int(args.repetitions, "repetitions"),
+        base_seed=pick_int(args.seed, "base_seed"),
+        confidence_method=pick(args.confidence_method, "confidence_method"),
+        confidence_form=pick(args.form, "confidence_form"),
+        k=pick_int(args.k, "k"),
+        filter_thresholds=pick_reals(args.filter_thresholds, "filter_thresholds"),
         boost=boost,
         jobs=args.jobs,
     )
@@ -351,7 +336,7 @@ def cmd_bench(args) -> int:
     _write_manifest(
         json_path,
         "bench",
-        json.loads(table_to_json(table))["config"],
+        body["config"],
         {"base_seed": cfg.base_seed},
         inputs,
         [json_path, csv_path],
@@ -413,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model, write model JSON")
     _add_io_flags(p)
-    p.add_argument("--algo", choices=("stump", "adaboost", "cb", "disc", "corr"), required=True)
+    p.add_argument("--algo", choices=tuple(METHODS), required=True)
     p.add_argument("--gamma", default=None, help="gamma.csv from the confidence step (cb/disc/corr)")
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--mode", choices=("weighted", "resample"), default="weighted")

@@ -15,7 +15,8 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,8 @@ __all__ = [
     "test_error",
     "run_disc",
     "run_corr",
+    "METHODS",
+    "fit_method",
     "run_experiment",
     "weight_trace_groups",
     "table_to_json",
@@ -45,10 +48,23 @@ __all__ = [
     "BOOST_KEYS",
 ]
 
-KNOWN_METHODS = ("stump", "adaboost", "cb", "disc", "corr")
+
+class Method(NamedTuple):
+    needs_gamma: bool
+    takes_threshold: bool
+
+
+# every method the grid and the CLI train, in the CLI's listing order
+METHODS = {
+    "stump": Method(needs_gamma=False, takes_threshold=False),
+    "adaboost": Method(needs_gamma=False, takes_threshold=False),
+    "cb": Method(needs_gamma=True, takes_threshold=False),
+    "disc": Method(needs_gamma=True, takes_threshold=True),
+    "corr": Method(needs_gamma=True, takes_threshold=True),
+}
 # the BoostConfig fields a grid's config echo records; each repetition's
 # boosting seed is derived from base_seed, so seed is not one of them
-BOOST_KEYS = ("max_iterations", "learner_mode", "stop_rule", "consistency_a", "epsilon_clamp")
+BOOST_KEYS = tuple(f.name for f in fields(BoostConfig) if f.name != "seed")
 
 
 def derive_seed(base_seed: int, rep: int, stage: str) -> int:
@@ -60,9 +76,9 @@ def derive_seed(base_seed: int, rep: int, stage: str) -> int:
 def parse_method(spec: str) -> tuple[str, float | None]:
     """'adaboost' -> ('adaboost', None); 'disc:0.5' -> ('disc', 0.5)."""
     name, _, arg = spec.partition(":")
-    if name not in KNOWN_METHODS:
-        raise ValueError(f"unknown method {name!r}, expected one of {KNOWN_METHODS}")
-    if name in ("disc", "corr"):
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}, expected one of {tuple(METHODS)}")
+    if METHODS[name].takes_threshold:
         if not arg:
             raise ValueError(f"method {name!r} needs a threshold, e.g. {name}:0.5")
         thr = float(arg)
@@ -184,25 +200,28 @@ def _gen(scenario: str, n: int, seed: int) -> Dataset:
     return gen_normal(n, seed) if scenario == "normal" else gen_sine(n, seed)
 
 
-def _fit_method(name, thr, noisy, gamma, cfg: BoostConfig):
+def fit_method(name: str, thr: float | None, train: Dataset, gamma: ConfidenceVector | None,
+               cfg: BoostConfig) -> Ensemble:
+    """Train method `name` of METHODS; the grid and the CLI both train here.
+
+    The trainers are read from this module's globals at call time, so a
+    wrapper installed on harness.train_adaboost and friends sees every call.
+    """
     if name == "stump":
-        ens, _ = train_adaboost(noisy, replace(cfg, max_iterations=1))
-        return ens
-    if name == "adaboost":
-        ens, _ = train_adaboost(noisy, cfg)
-        return ens
-    if name == "cb":
-        ens, _ = train_cb_adaboost(noisy, gamma, cfg)
-        return ens
-    if name == "disc":
-        ens, _ = run_disc(noisy, gamma, thr, cfg)
-        return ens
-    ens, _ = run_corr(noisy, gamma, thr, cfg)
+        cfg = replace(cfg, max_iterations=1)
+    if not METHODS[name].needs_gamma:
+        ens, _ = train_adaboost(train, cfg)
+    elif name == "cb":
+        ens, _ = train_cb_adaboost(train, gamma, cfg)
+    elif name == "disc":
+        ens, _ = run_disc(train, gamma, thr, cfg)
+    else:
+        ens, _ = run_corr(train, gamma, thr, cfg)
     return ens
 
 
 def _needs_gamma(methods) -> bool:
-    return any(parse_method(m)[0] in ("cb", "disc", "corr") for m in methods)
+    return any(METHODS[parse_method(m)[0]].needs_gamma for m in methods)
 
 
 def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
@@ -231,12 +250,12 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
                 gamma_err = f"confidence failed: {exc}"
         for mspec in cfg.methods:
             name, thr = parse_method(mspec)
-            if name in ("cb", "disc", "corr") and gamma is None:
+            if METHODS[name].needs_gamma and gamma is None:
                 out[(mspec, level)] = (None, None, gamma_err or "confidence unavailable")
                 continue
             bcfg = replace(cfg.boost, seed=derive_seed(cfg.base_seed, rep, f"boost@{mspec}@{level!r}"))
             try:
-                ens = _fit_method(name, thr, noisy, gamma, bcfg)
+                ens = fit_method(name, thr, noisy, gamma, bcfg)
                 out[(mspec, level)] = (test_error(ens, test), len(ens), None)
             except ValueError as exc:
                 out[(mspec, level)] = (None, None, f"{name} failed: {exc}")
@@ -291,23 +310,6 @@ def weight_trace_groups(trace, mask=None, gamma=None, conf_cut: float = 0.7) -> 
     return series
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "train_n": cfg.train_n,
-        "test_n": cfg.test_n,
-        "noise_levels": list(cfg.noise_levels),
-        "methods": list(cfg.methods),
-        "repetitions": cfg.repetitions,
-        "base_seed": cfg.base_seed,
-        "confidence_method": cfg.confidence_method,
-        "confidence_form": cfg.confidence_form,
-        "k": cfg.k,
-        "filter_thresholds": list(cfg.filter_thresholds),
-        "boost": {key: getattr(cfg.boost, key) for key in BOOST_KEYS},
-    }
-
-
 def table_to_json(table: ResultsTable) -> str:
     """Full per-repetition detail, deterministic bytes for a given table."""
     cells = []
@@ -324,7 +326,11 @@ def table_to_json(table: ResultsTable) -> str:
                 "failed": sum(v is None for v in cell.values),
             }
         )
-    return json.dumps({"config": _config_echo(table.config), "cells": cells}, indent=2, sort_keys=True)
+    # jobs never changes the results, and each repetition derives its own
+    # boosting seed from base_seed, so neither belongs to the echo
+    config = asdict(table.config)
+    del config["jobs"], config["boost"]["seed"]
+    return json.dumps({"config": config, "cells": cells}, indent=2, sort_keys=True)
 
 
 def table_to_csv(table: ResultsTable) -> str:

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import cbboost
-from cbboost.boost import load_ensemble
+from cbboost.boost import BoostConfig, load_ensemble
 from cbboost.cli import main
 from cbboost.confidence import read_gamma_csv
 from cbboost.dataset import load_csv
+from cbboost.harness import METHODS, fit_method
 
 
 def run_ok(capsys, *argv):
@@ -111,6 +112,27 @@ class TestPipeline:
         assert cfg["mode"] == "resample"
         assert cfg["iterations"] == 8
         assert cfg["manifest"] == f"{model}.manifest.json"
+
+
+@pytest.mark.parametrize("algo", list(METHODS))
+def test_train_matches_library_dispatch(pipeline, capsys, algo):
+    model = pipeline / f"{algo}.json"
+    run_ok(
+        capsys,
+        "train", "--in", str(pipeline / "noisy.csv"), "--out", str(model),
+        "--algo", algo, "--gamma", str(pipeline / "gamma.csv"),
+        "--threshold", "0.3", "--iterations", "8", "--mode", "resample", "--seed", "5",
+    )
+    ens, _ = load_ensemble(model)
+    want = fit_method(
+        algo,
+        0.3 if METHODS[algo].takes_threshold else None,
+        load_csv(pipeline / "noisy.csv"),
+        read_gamma_csv(pipeline / "gamma.csv"),
+        BoostConfig(max_iterations=8, learner_mode="resample", seed=5),
+    )
+    assert ens.terms == want.terms and ens.stopped_at == want.stopped_at
+    assert len(ens) == (1 if algo == "stump" else 8)
 
 
 class TestManifest:
@@ -373,6 +395,30 @@ class TestBench:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "boost" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body, key", [
+        ({"train_n": 40.9}, "train_n"),
+        ({"repetitions": 1.7}, "repetitions"),
+        ({"boost": {"max_iterations": 2.9}}, "max_iterations"),
+    ])
+    def test_fractional_integers_rejected(self, tmp_path, capsys, body, key):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({"test_n": 50, "noise_levels": [0.1], "methods": ["stump"], **body}))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be a whole number" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_whole_floats_accepted(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({
+            "train_n": 40.0, "test_n": 50, "noise_levels": [0.1], "methods": ["stump"],
+            "repetitions": 1.0, "boost": {"max_iterations": 3.0},
+        }))
+        run_ok(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        config = json.loads((tmp_path / "o" / "results.json").read_text())["config"]
+        assert (config["train_n"], config["repetitions"], config["boost"]["max_iterations"]) == (40, 1, 3)
+        assert json.dumps(config["train_n"]) == "40"
 
     def test_bad_config_shape(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -8,10 +8,12 @@ import json
 import numpy as np
 import pytest
 
+from cbboost import boost, harness
 from cbboost.boost import BoostConfig, Ensemble, train_adaboost, train_cb_adaboost
 from cbboost.confidence import ConfidenceVector
 from cbboost.dataset import Dataset, inject_label_noise
 from cbboost.harness import (
+    METHODS,
     CellResult,
     ExperimentConfig,
     ResultsTable,
@@ -363,3 +365,73 @@ class TestTableOutput:
                 float(np.mean(summary_table.cell(r[0], 0.1).ok_values)), abs=1e-6
             )
             assert r[4] == "2" and r[5] == "2"
+
+
+def test_every_grid_trainer_call_goes_through_harness_names(monkeypatch):
+    # wrappers installed on harness.train_adaboost / train_cb_adaboost must
+    # see every ensemble the grid trains; the engine counter shows nothing
+    # trains past them
+    calls = {"train_adaboost": 0, "train_cb_adaboost": 0, "engine": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("train_adaboost", "train_cb_adaboost"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    monkeypatch.setattr(boost, "_boost", counting("engine", boost._boost))
+    cfg = ExperimentConfig(
+        train_n=40, test_n=50, noise_levels=(0.0, 0.2), methods=("stump", "adaboost", "cb", "disc:0.5", "corr:0.5"),
+        repetitions=2, base_seed=3, boost=BoostConfig(max_iterations=3),
+    )
+    table = run_experiment(cfg)
+    assert all(v is not None for cell in table.cells.values() for v in cell.values)
+    cells = cfg.repetitions * len(cfg.noise_levels)
+    assert calls == {"train_adaboost": 4 * cells, "train_cb_adaboost": cells, "engine": 5 * cells}
+    assert sorted(METHODS) == sorted(parse_method(m)[0] for m in cfg.methods)
+
+
+class TestConfigEcho:
+    def test_frozen_for_a_non_default_config(self):
+        cfg = ExperimentConfig(
+            scenario="sine",
+            train_n=64,
+            test_n=128,
+            noise_levels=(0.1, 0.25),
+            methods=("cb", "corr:0.4"),
+            repetitions=3,
+            base_seed=11,
+            confidence_method="bayes",
+            confidence_form="paper-literal",
+            k=7,
+            filter_thresholds=(0.2, 0.4),
+            boost=BoostConfig(
+                max_iterations=9, learner_mode="resample", seed=42, stop_rule="consistency",
+                consistency_a=0.3, epsilon_clamp=1e-9,
+            ),
+            jobs=2,
+        )
+        config = json.loads(table_to_json(ResultsTable(config=cfg, cells={})))["config"]
+        assert config == {
+            "scenario": "sine",
+            "train_n": 64,
+            "test_n": 128,
+            "noise_levels": [0.1, 0.25],
+            "methods": ["cb", "corr:0.4"],
+            "repetitions": 3,
+            "base_seed": 11,
+            "confidence_method": "bayes",
+            "confidence_form": "paper-literal",
+            "k": 7,
+            "filter_thresholds": [0.2, 0.4],
+            "boost": {
+                "max_iterations": 9,
+                "learner_mode": "resample",
+                "stop_rule": "consistency",
+                "consistency_a": 0.3,
+                "epsilon_clamp": 1e-9,
+            },
+        }
+        assert "jobs" not in config and "seed" not in config["boost"]
