@@ -30,7 +30,7 @@ import numpy as np
 
 from .confidence import ConfidenceVector
 from .dataset import Dataset
-from .stump import Stump, train_stump
+from .stump import Presorted, Stump, train_stump
 from .util import frozen, sign_pm
 
 __all__ = [
@@ -164,9 +164,14 @@ def _raw_score(ensemble: Ensemble, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
+    bad = next((s.feature for _, s in ensemble.terms if s.feature >= X.shape[1]), None)
+    if bad is not None:
+        raise ValueError(f"stump uses feature {bad} but matrix has {X.shape[1]} columns")
     out = np.zeros(X.shape[0], dtype=np.float64)
     for beta, stump in ensemble.terms:
-        out += beta * stump.predict(X)
+        # beta * +-1 == +-beta exactly, so this adds what beta * stump.predict(X) would
+        v = beta * stump.polarity
+        out += np.where(X[:, stump.feature] > stump.threshold, v, -v)
     return out
 
 
@@ -213,6 +218,7 @@ def _vote_from_sums(right: float, wrong: float, clamp: float) -> tuple[float, fl
 
 
 def _fit_weak(X, labels, D, cfg: BoostConfig, rng) -> Stump:
+    # weighted mode fits on the run's one Presorted; train_stump presorts each bootstrap
     if cfg.learner_mode == "weighted":
         return train_stump(X, labels, D)
     n = X.shape[0]
@@ -239,6 +245,7 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
     if float(np.abs(w_obs - w_flip).sum()) <= 0.0:
         raise ValueError("every gamma equals 0.5: no informative instance to boost on")
     rng = np.random.default_rng(cfg.seed)
+    fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
     rows: list[TraceRow] = []
     terms: list[tuple[float, Stump]] = []
     stopped_early = False
@@ -252,7 +259,7 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
             break
         D = absdiff / S
         yprime = np.where(diff >= 0.0, y, -y)
-        stump = _fit_weak(X, yprime, D, cfg, rng)
+        stump = _fit_weak(fit_X, yprime, D, cfg, rng)
         h = stump.predict(X)
         wrong = h != y
         right = ~wrong

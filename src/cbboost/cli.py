@@ -279,8 +279,18 @@ def cmd_bench(args) -> int:
     def pick_int(flag_value, key):
         return _as_type_of(getattr(defaults, key), pick(flag_value, key), f"{args.config}: {key}")
 
+    def pick_list(flag_value, key, convert):
+        # a bare string would otherwise be iterated character by character
+        value = pick(flag_value, key)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{args.config}: {key} must be a list, got {value!r}")
+        try:
+            return tuple(convert(x) for x in value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.config}: {key}: {exc}") from None
+
     def pick_reals(flag_text, key):
-        return tuple(float(x) for x in pick(None if flag_text is None else _parse_thresholds(flag_text), key))
+        return pick_list(None if flag_text is None else _parse_thresholds(flag_text), key, float)
 
     # boost settings live only in the "boost" block, under the keys a
     # results.json config echo writes, so an echoed config replays exactly
@@ -311,7 +321,7 @@ def cmd_bench(args) -> int:
         train_n=pick_int(args.train_n, "train_n"),
         test_n=pick_int(args.test_n, "test_n"),
         noise_levels=pick_reals(args.noise_levels, "noise_levels"),
-        methods=tuple(pick(None if args.methods is None else args.methods.split(","), "methods")),
+        methods=pick_list(None if args.methods is None else args.methods.split(","), "methods", str),
         repetitions=pick_int(args.repetitions, "repetitions"),
         base_seed=pick_int(args.seed, "base_seed"),
         confidence_method=pick(args.confidence_method, "confidence_method"),

@@ -2,7 +2,10 @@
 
 The trainer scans all axis-aligned splits. Candidate thresholds per feature
 are the midpoints between consecutive distinct sorted values plus a -inf
-sentinel (constant prediction); comparisons are strict `>`. A vectorized
+sentinel (constant prediction); comparisons are strict `>`. A presort
+(Presorted), built once per matrix, holds each column's stable sort order,
+thresholds and their split positions; a boosting run fits every round from
+one. Each fit gathers the weights in sorted order, a vectorized
 cumulative-sum sweep brackets the optimum, then every candidate within a
 small slack of that bracket is re-scored with a correctly rounded masked
 sum so equal-error candidates genuinely tie. Ties are broken
@@ -17,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Stump", "train_stump", "predict_stump", "candidate_thresholds"]
+from .util import frozen
+
+__all__ = ["Stump", "Presorted", "train_stump", "predict_stump", "candidate_thresholds"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +71,43 @@ def _exact_error(col, t, pol, y, w) -> float:
     return math.fsum(w[pred != y])
 
 
+class Presorted:
+    """A feature matrix presorted for repeated stump fits.
+
+    columns[j] holds column j's values, the stable order that sorts them,
+    candidate_thresholds of the column and, for each threshold, the number
+    of sorted values at or below it. The arrays are read-only copies, so the
+    cache cannot fall out of step with the values it was built from.
+    """
+
+    def __init__(self, features):
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise ValueError(f"expected a non-empty 2-d feature matrix, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
+        self.n = X.shape[0]
+        columns = []
+        for j in range(X.shape[1]):
+            col = X[:, j]
+            order = np.argsort(col, kind="stable")
+            thr = candidate_thresholds(col)
+            split = np.searchsorted(col[order], thr, side="right")
+            columns.append(tuple(frozen(a) for a in (col, order, thr, split)))
+        self.columns = tuple(columns)
+
+
 def train_stump(features, labels, weights) -> Stump:
     """Exact weighted-error minimizer over all stump hypotheses.
 
-    weights must be nonnegative with positive total; any common rescaling of
-    the weights leaves the result unchanged.
+    features is a matrix or its Presorted form; a matrix is presorted on
+    entry. weights must be nonnegative with positive total; any common
+    rescaling of the weights leaves the result unchanged.
     """
-    X = np.asarray(features, dtype=np.float64)
+    ps = features if isinstance(features, Presorted) else Presorted(features)
     y = np.asarray(labels, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"expected a non-empty 2-d feature matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    n, p = X.shape
+    n = ps.n
     if y.shape != (n,) or w.shape != (n,):
         raise ValueError(f"labels {y.shape} / weights {w.shape} do not match {n} rows")
     if not np.all((y == 1) | (y == -1)):
@@ -100,29 +128,23 @@ def train_stump(features, labels, weights) -> Stump:
     wn = w * (y < 0)
     per_feature = []
     approx_min = np.inf
-    for j in range(p):
-        col = X[:, j]
-        thr = candidate_thresholds(col)
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
+    for col, order, thr, k in ps.columns:
         cp = np.concatenate(([0.0], np.cumsum(wp[order])))
         cn = np.concatenate(([0.0], np.cumsum(wn[order])))
-        k = np.searchsorted(xs, thr, side="right")
         # predicting +1 strictly above thr misclassifies positives at or below
         # it and negatives above it
         err_pos = cp[k] + (cn[-1] - cn[k])
         err_neg = (cp[-1] - cp[k]) + cn[k]
-        per_feature.append((thr, err_pos, err_neg))
+        per_feature.append((err_pos, err_neg))
         approx_min = min(approx_min, float(err_pos.min()), float(err_neg.min()))
 
     # Pass 2: exact re-scoring of every bracketed candidate, visited in
     # tie-rule order so the first strict improvement wins.
     best_err = np.inf
     best = None
-    for j in range(p):
-        thr, err_pos, err_neg = per_feature[j]
+    for j, (col, _, thr, _) in enumerate(ps.columns):
+        err_pos, err_neg = per_feature[j]
         near = np.flatnonzero(np.minimum(err_pos, err_neg) <= approx_min + slack)
-        col = X[:, j]
         for i in near:
             t = float(thr[i])
             for pol in (1, -1):

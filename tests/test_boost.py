@@ -427,6 +427,47 @@ class TestEnsembleApi:
         g = ConfidenceVector(np.array([0.9, 0.1, 0.5, 1.0]))
         assert empirical_risk(ens, ds, g) == 1.0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_score_equals_term_by_term_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 5))
+        # integer rows sit exactly on integer thresholds, and dyadic votes
+        # cancel exactly, so zero scores occur
+        X = rng.integers(-3, 4, size=(400, p)).astype(np.float64)
+        for votes in ([0.25, 0.5, 1.0], rng.random(8) + 1e-3):
+            terms = tuple(
+                (
+                    float(rng.choice(votes)),
+                    Stump(int(rng.integers(p)), float(rng.choice([-np.inf, -1.0, 0.0, 0.5, 2.0])),
+                          int(rng.choice([-1, 1]))),
+                )
+                for _ in range(int(rng.integers(1, 80)))
+            )
+            ens = Ensemble(terms=terms, stopped_at=len(terms))
+            want = np.zeros(X.shape[0])
+            for beta, stump in terms:
+                want += beta * stump.predict(X)
+            assert score(ens, X).tobytes() == want.tobytes()
+            assert predict(ens, X).tolist() == np.where(want >= 0.0, 1, -1).tolist()
+
+    def test_cancelling_votes_score_zero_and_predict_positive(self):
+        terms = ((1.0, Stump(0, 0.0, 1)), (0.5, Stump(1, 0.0, 1)), (0.5, Stump(1, 0.0, 1)))
+        ens = Ensemble(terms=terms, stopped_at=3)
+        X = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        assert score(ens, X).tolist() == [0.0, 2.0, 0.0, -2.0]
+        assert predict(ens, X).tolist() == [1, 1, 1, -1]
+
+    def test_wrong_width_names_the_first_stump_out_of_range(self):
+        terms = ((1.0, Stump(0, 0.0, 1)), (1.0, Stump(3, 0.0, 1)), (1.0, Stump(5, 0.0, 1)))
+        ens = Ensemble(terms=terms, stopped_at=3)
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError) as term_err:
+            terms[1][1].predict(X)
+        for fn in (score, predict):
+            with pytest.raises(ValueError) as err:
+                fn(ens, X)
+            assert str(err.value) == str(term_err.value) == "stump uses feature 3 but matrix has 2 columns"
+
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="positive and finite"):
             Ensemble(terms=((0.0, Stump(0, 0.0, 1)),), stopped_at=1)

@@ -409,6 +409,20 @@ class TestBench:
         assert f"{key} must be a whole number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("body, key", [
+        ({"noise_levels": 0.1}, "noise_levels"),
+        ({"methods": 5}, "methods"),
+        ({"methods": "cb"}, "methods"),
+        ({"filter_thresholds": "0.5"}, "filter_thresholds"),
+    ])
+    def test_list_settings_must_be_lists(self, tmp_path, capsys, body, key):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(body))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key} must be a list" in err
+        assert not (tmp_path / "o").exists()
+
     def test_whole_floats_accepted(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps({
