@@ -18,7 +18,7 @@ import numpy as np
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import derive_seed
-from cbboost.synth import gen_normal, gen_sine
+from cbboost.synth import SynthSpec, generate
 
 ESTIMATORS = (
     ("bayes", "consistent"),
@@ -28,10 +28,9 @@ ESTIMATORS = (
 
 
 def one_cell(scenario, level, method, form, reps, n, base_seed):
-    gen = gen_normal if scenario == "normal" else gen_sine
     clean_means, noisy_means = [], []
     for rep in range(reps):
-        train = gen(n, derive_seed(base_seed, rep, "train"))
+        train = generate(SynthSpec(scenario, n, derive_seed(base_seed, rep, "train")))
         noisy, mask = inject_label_noise(train, level, derive_seed(base_seed, rep, f"noise@{level!r}"))
         gamma, _ = estimate_confidence(
             noisy,

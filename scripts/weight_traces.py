@@ -19,7 +19,7 @@ from cbboost.boost import BoostConfig, train_adaboost, train_cb_adaboost
 from cbboost.confidence import estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import derive_seed, weight_trace_groups
-from cbboost.synth import gen_normal, gen_sine
+from cbboost.synth import SynthSpec, generate
 
 SERIES = (
     ("ada_clean", "groups_ada", "clean"),
@@ -44,11 +44,10 @@ def main():
     ap.add_argument("--out", default="traces.csv")
     args = ap.parse_args()
 
-    gen = gen_normal if args.scenario == "normal" else gen_sine
     cfg = BoostConfig(max_iterations=args.iterations)
     runs = []
     for rep in range(args.repetitions):
-        train = gen(args.train_n, derive_seed(args.seed, rep, "train"))
+        train = generate(SynthSpec(args.scenario, args.train_n, derive_seed(args.seed, rep, "train")))
         noisy, mask = inject_label_noise(
             train, args.noise_level, derive_seed(args.seed, rep, f"noise@{args.noise_level!r}")
         )

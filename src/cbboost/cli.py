@@ -30,15 +30,16 @@ from .boost import BoostConfig, load_ensemble, save_ensemble
 from .confidence import (
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
+    FORMS,
     estimate_confidence,
     read_gamma_csv,
     write_gamma_csv,
 )
 from .dataset import inject_label_noise, load_csv, save_csv
 from .harness import (
-    BOOST_KEYS,
     METHODS,
     ExperimentConfig,
+    config_from_echo,
     fit_method,
     run_experiment,
     table_to_csv,
@@ -95,13 +96,6 @@ def _parse_stop(text: str) -> tuple[str, float]:
         a = float(arg) if arg else 0.5
         return "consistency", a
     raise ValueError(f"unknown stop rule {text!r}, expected fixed or consistency:A")
-
-
-def _as_type_of(default, value, what: str):
-    # int() alone would truncate 4.7 to 4 without a word
-    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return type(default)(value)
 
 
 def _boost_config(args) -> BoostConfig:
@@ -262,75 +256,32 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     t0 = time.monotonic()
-    file_cfg = {}
+    cfg = ExperimentConfig()
     inputs = []
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"{args.config}: bench config must be a JSON object")
+            cfg = config_from_echo(json.load(fh), args.config)
         inputs.append(args.config)
-    defaults = ExperimentConfig()
-
-    # flags override file values; file values override ExperimentConfig's defaults
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else file_cfg.get(key, getattr(defaults, key))
-
-    def pick_int(flag_value, key):
-        return _as_type_of(getattr(defaults, key), pick(flag_value, key), f"{args.config}: {key}")
-
-    def pick_list(flag_value, key, convert):
-        # a bare string would otherwise be iterated character by character
-        value = pick(flag_value, key)
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{args.config}: {key} must be a list, got {value!r}")
-        try:
-            return tuple(convert(x) for x in value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.config}: {key}: {exc}") from None
-
-    def pick_reals(flag_text, key):
-        return pick_list(None if flag_text is None else _parse_thresholds(flag_text), key, float)
-
-    # boost settings live only in the "boost" block, under the keys a
-    # results.json config echo writes, so an echoed config replays exactly
-    misplaced = sorted(set(file_cfg) & {"stop", *BOOST_KEYS})
-    if misplaced:
-        raise ValueError(f"{args.config}: {', '.join(misplaced)} must sit inside the 'boost' block")
-    boost_cfg = file_cfg.get("boost", {})
-    if not isinstance(boost_cfg, dict):
-        raise ValueError(f"{args.config}: 'boost' must be a JSON object")
-    unknown = sorted(set(boost_cfg) - set(BOOST_KEYS))
-    if unknown:
-        raise ValueError(
-            f"{args.config}: unknown boost setting {', '.join(unknown)}, expected some of {', '.join(BOOST_KEYS)}"
-        )
-    try:
-        boost = BoostConfig(**{k: _as_type_of(getattr(defaults.boost, k), v, k) for k, v in boost_cfg.items()})
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.config}: bad boost setting: {exc}") from None
-    if args.iterations is not None:
-        boost = replace(boost, max_iterations=args.iterations)
-    if args.mode is not None:
-        boost = replace(boost, learner_mode=args.mode)
+    # flags that were given override the file, which overrides the defaults
+    flags = {
+        "scenario": args.scenario,
+        "train_n": args.train_n,
+        "test_n": args.test_n,
+        "noise_levels": None if args.noise_levels is None else _parse_thresholds(args.noise_levels),
+        "methods": None if args.methods is None else tuple(args.methods.split(",")),
+        "repetitions": args.repetitions,
+        "base_seed": args.seed,
+        "confidence_method": args.confidence_method,
+        "confidence_form": args.form,
+        "k": args.k,
+        "filter_thresholds": None if args.filter_thresholds is None else _parse_thresholds(args.filter_thresholds),
+        "jobs": args.jobs,
+    }
+    boost_flags = {"max_iterations": args.iterations, "learner_mode": args.mode}
     if args.stop is not None:
-        stop_rule, a = _parse_stop(args.stop)
-        boost = replace(boost, stop_rule=stop_rule, consistency_a=a)
-    cfg = ExperimentConfig(
-        scenario=pick(args.scenario, "scenario"),
-        train_n=pick_int(args.train_n, "train_n"),
-        test_n=pick_int(args.test_n, "test_n"),
-        noise_levels=pick_reals(args.noise_levels, "noise_levels"),
-        methods=pick_list(None if args.methods is None else args.methods.split(","), "methods", str),
-        repetitions=pick_int(args.repetitions, "repetitions"),
-        base_seed=pick_int(args.seed, "base_seed"),
-        confidence_method=pick(args.confidence_method, "confidence_method"),
-        confidence_form=pick(args.form, "confidence_form"),
-        k=pick_int(args.k, "k"),
-        filter_thresholds=pick_reals(args.filter_thresholds, "filter_thresholds"),
-        boost=boost,
-        jobs=args.jobs,
-    )
+        boost_flags["stop_rule"], boost_flags["consistency_a"] = _parse_stop(args.stop)
+    boost = replace(cfg.boost, **{k: v for k, v in boost_flags.items() if v is not None})
+    cfg = replace(cfg, boost=boost, **{k: v for k, v in flags.items() if v is not None})
     os.makedirs(args.out_dir, exist_ok=True)
     log.info("bench grid: %s", cfg)
     table = run_experiment(cfg)
@@ -392,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("knn", "bayes"), default="knn")
     p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--noise-level", type=float, default=None, help="assumed flip rate (bayes only)")
-    p.add_argument("--form", choices=("consistent", "paper-literal"), default="consistent")
+    p.add_argument("--form", choices=FORMS, default="consistent")
     p.add_argument(
         "--filter-thresholds",
         default=",".join(str(t) for t in DEFAULT_THRESHOLDS),
@@ -424,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run a benchmark grid, write results.json/results.csv")
-    p.add_argument("--config", default=None, help="JSON config; flags override its values")
+    p.add_argument("--config", default=None,
+                   help="JSON config with the keys of a results.json config echo; flags override its values")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--scenario", choices=("normal", "sine"), default=None)
     p.add_argument("--train-n", type=int, default=None)
@@ -434,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="base seed for the grid")
     p.add_argument("--confidence-method", choices=("knn", "bayes"), default=None)
-    p.add_argument("--form", choices=("consistent", "paper-literal"), default=None)
+    p.add_argument("--form", choices=FORMS, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--filter-thresholds", default=None)
     p.add_argument("--iterations", type=int, default=None)

@@ -46,12 +46,15 @@ __all__ = [
     "GroupStats",
     "write_gamma_csv",
     "read_gamma_csv",
+    "check_settings",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_K",
+    "FORMS",
 ]
 
 DEFAULT_THRESHOLDS = (0.07, 0.14, 0.21)
 DEFAULT_K = 5
+FORMS = ("consistent", "paper-literal")
 
 # doubles in one query block's pairwise temporary (8 MB)
 _BLOCK = 1 << 20
@@ -160,6 +163,24 @@ def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarra
     return out
 
 
+def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str = "consistent") -> tuple:
+    """Reject a bad neighbour count, filter schedule or Bayes form.
+
+    Returns the thresholds as floats. noise_filter, bayes_confidence and a
+    benchmark grid's config all check here, so a grid fails before it runs.
+    """
+    thresholds = tuple(float(t) for t in thresholds)
+    if any(not (0.0 < t < 1.0) for t in thresholds):
+        raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must be strictly increasing, got {thresholds}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if form not in FORMS:
+        raise ValueError(f"form must be 'consistent' or 'paper-literal', got {form!r}")
+    return thresholds
+
+
 def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
     if not standardize:
         return ds.features
@@ -180,13 +201,7 @@ def noise_filter(
     survivor count is k or fewer the filter stops and flags the report
     aborted rather than divide up a too-small set.
     """
-    thresholds = tuple(float(t) for t in thresholds)
-    if any(not (0.0 < t < 1.0) for t in thresholds):
-        raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError(f"thresholds must be strictly increasing, got {thresholds}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    thresholds = check_settings(k=k, thresholds=thresholds)
     X = _standardized(ds, standardize)
     y = ds.labels
     surv = np.arange(ds.n)
@@ -269,8 +284,7 @@ def bayes_confidence(
     log space; a singular covariance is ridged with 1e-6 I under a
     RuntimeWarning.
     """
-    if form not in ("consistent", "paper-literal"):
-        raise ValueError(f"form must be 'consistent' or 'paper-literal', got {form!r}")
+    check_settings(form=form)
     if not (0.0 <= noise_level < 0.5):
         raise ValueError(f"noise_level must lie in [0, 0.5), got {noise_level}")
     kept = reduced.kept

@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,10 +25,11 @@ from .confidence import (
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     ConfidenceVector,
+    check_settings,
     estimate_confidence,
 )
 from .dataset import Dataset, inject_label_noise
-from .synth import gen_normal, gen_sine
+from .synth import SynthSpec, generate
 
 __all__ = [
     "ExperimentConfig",
@@ -43,9 +44,9 @@ __all__ = [
     "run_experiment",
     "weight_trace_groups",
     "table_to_json",
+    "config_from_echo",
     "table_to_csv",
     "parse_method",
-    "BOOST_KEYS",
 ]
 
 
@@ -62,9 +63,6 @@ METHODS = {
     "disc": Method(needs_gamma=True, takes_threshold=True),
     "corr": Method(needs_gamma=True, takes_threshold=True),
 }
-# the BoostConfig fields a grid's config echo records; each repetition's
-# boosting seed is derived from base_seed, so seed is not one of them
-BOOST_KEYS = tuple(f.name for f in fields(BoostConfig) if f.name != "seed")
 
 
 def derive_seed(base_seed: int, rep: int, stage: str) -> int:
@@ -120,6 +118,7 @@ class ExperimentConfig:
                 raise ValueError(f"noise levels must lie in [0, 0.5), got {lv}")
         if self.confidence_method not in ("knn", "bayes"):
             raise ValueError(f"confidence_method must be 'knn' or 'bayes', got {self.confidence_method!r}")
+        check_settings(self.k, self.filter_thresholds, self.confidence_form)
         for m in self.methods:
             parse_method(m)
         if self.jobs < 1:
@@ -196,10 +195,6 @@ def run_corr(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: Boo
     return train_adaboost(Dataset(train.features, labels), cfg)
 
 
-def _gen(scenario: str, n: int, seed: int) -> Dataset:
-    return gen_normal(n, seed) if scenario == "normal" else gen_sine(n, seed)
-
-
 def fit_method(name: str, thr: float | None, train: Dataset, gamma: ConfidenceVector | None,
                cfg: BoostConfig) -> Ensemble:
     """Train method `name` of METHODS; the grid and the CLI both train here.
@@ -227,8 +222,8 @@ def _needs_gamma(methods) -> bool:
 def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
     """All cells of one repetition: {(method, level): (value, stop, error)}."""
     out = {}
-    test = _gen(cfg.scenario, cfg.test_n, derive_seed(cfg.base_seed, rep, "test"))
-    train = _gen(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train"))
+    test = generate(SynthSpec(cfg.scenario, cfg.test_n, derive_seed(cfg.base_seed, rep, "test")))
+    train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
     for level in cfg.noise_levels:
         level = float(level)
         noisy, _mask = inject_label_noise(
@@ -326,11 +321,69 @@ def table_to_json(table: ResultsTable) -> str:
                 "failed": sum(v is None for v in cell.values),
             }
         )
+    return json.dumps({"config": _echo(table.config), "cells": cells}, indent=2, sort_keys=True)
+
+
+def _echo(cfg: ExperimentConfig) -> dict:
     # jobs never changes the results, and each repetition derives its own
     # boosting seed from base_seed, so neither belongs to the echo
-    config = asdict(table.config)
+    config = asdict(cfg)
     del config["jobs"], config["boost"]["seed"]
-    return json.dumps({"config": config, "cells": cells}, indent=2, sort_keys=True)
+    return config
+
+
+def config_from_echo(data, where: str) -> ExperimentConfig:
+    """The grid a config object in the shape of table_to_json's echo describes.
+
+    The keys are exactly those the echo writes, its "boost" block included;
+    an omitted key keeps ExperimentConfig's default. Each value must have
+    its default's JSON type: a whole float reads as an integer, while bools,
+    strings for numbers and non-lists for list settings are rejected, as are
+    unknown keys (jobs and boost.seed among them). Errors are ValueErrors
+    prefixed with `where`.
+    """
+    values = _read_block(data, _echo(ExperimentConfig()), where, "")
+    try:
+        return ExperimentConfig(**{**values, "boost": BoostConfig(**values.get("boost", {}))})
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _read_block(data, schema: dict, where: str, path: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: {path or 'a grid config'} must be a JSON object, got {data!r}")
+    name = (path + ".") if path else ""
+    unknown = sorted(set(data) - set(schema))
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key {', '.join(name + k for k in unknown)}, expected some of {', '.join(schema)}"
+        )
+    return {
+        key: _read_block(value, schema[key], where, name + key)
+        if isinstance(schema[key], dict)
+        else _read_value(value, schema[key], f"{where}: {name}{key}")
+        for key, value in data.items()
+    }
+
+
+def _read_value(value, default, what: str):
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"{what} must be a list, got {value!r}")
+        return tuple(_read_value(v, default[0], f"{what}[{i}]") for i, v in enumerate(value))
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{what} must be a string, got {value!r}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        # int() alone would truncate 4.7 to 4 without a word
+        if not number or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{what} must be a whole number, got {value!r}")
+        return int(value)
+    if not number:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def table_to_csv(table: ResultsTable) -> str:

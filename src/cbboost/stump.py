@@ -64,13 +64,6 @@ def candidate_thresholds(column) -> np.ndarray:
     return np.concatenate(([-np.inf], (u[:-1] + u[1:]) / 2.0))
 
 
-def _exact_error(col, t, pol, y, w) -> float:
-    # fsum rounds the true sum correctly, so equal-error candidates compare
-    # equal and the visit order below becomes the real tie rule
-    pred = np.where(col > t, pol, -pol)
-    return math.fsum(w[pred != y])
-
-
 class Presorted:
     """A feature matrix presorted for repeated stump fits.
 
@@ -139,16 +132,20 @@ def train_stump(features, labels, weights) -> Stump:
         approx_min = min(approx_min, float(err_pos.min()), float(err_neg.min()))
 
     # Pass 2: exact re-scoring of every bracketed candidate, visited in
-    # tie-rule order so the first strict improvement wins.
+    # tie-rule order so the first strict improvement wins. Polarity +1 is
+    # wrong exactly where (x > t) disagrees with (y > 0), and -1 on the rest.
+    # fsum rounds the true sum correctly, so equal-error candidates compare
+    # equal and the visit order becomes the real tie rule.
     best_err = np.inf
     best = None
+    pos = y > 0
     for j, (col, _, thr, _) in enumerate(ps.columns):
         err_pos, err_neg = per_feature[j]
         near = np.flatnonzero(np.minimum(err_pos, err_neg) <= approx_min + slack)
         for i in near:
             t = float(thr[i])
-            for pol in (1, -1):
-                e = _exact_error(col, t, pol, y, w)
+            wrong = (col > t) != pos
+            for pol, e in ((1, math.fsum(w[wrong])), (-1, math.fsum(w[~wrong]))):
                 if e < best_err:
                     best_err = e
                     best = (j, t, pol)

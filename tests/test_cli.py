@@ -387,6 +387,7 @@ class TestBench:
         {"boost": {"stop": "consistency:0.3"}},
         {"boost": {"max_iterations": None}},
         {"boost": {"max_iterations": "abc"}},
+        {"boost": {"seed": 3}},
     ])
     def test_boost_settings_outside_the_block_rejected(self, tmp_path, capsys, body):
         cfg_path = tmp_path / "bench.json"
@@ -400,6 +401,8 @@ class TestBench:
         ({"train_n": 40.9}, "train_n"),
         ({"repetitions": 1.7}, "repetitions"),
         ({"boost": {"max_iterations": 2.9}}, "max_iterations"),
+        ({"k": True}, "k"),
+        ({"train_n": "40"}, "train_n"),
     ])
     def test_fractional_integers_rejected(self, tmp_path, capsys, body, key):
         cfg_path = tmp_path / "bench.json"
@@ -421,6 +424,36 @@ class TestBench:
         err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{key} must be a list" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body, key", [
+        ({"train_N": 40}, "train_N"),
+        ({"jobs": 4}, "jobs"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, body, key):
+        # jobs is a flag only: it never changes the results, so no echo has it
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(body))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err.startswith(f"error: {cfg_path}: unknown key {key},") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ({"k": 0}, "need k >= 1"),
+        ({"filter_thresholds": [0.5, 0.2]}, "strictly increasing"),
+        ({"confidence_form": "bogus"}, "form must be"),
+    ])
+    def test_confidence_settings_rejected_before_the_grid_runs(self, tmp_path, capsys, body, message):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(body))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_methods_flag_rejected(self, tmp_path, capsys):
+        err = run_fail(capsys, "bench", "--out-dir", str(tmp_path / "o"), "--methods", "")
+        assert err.startswith("error: ") and "unknown method" in err
         assert not (tmp_path / "o").exists()
 
     def test_whole_floats_accepted(self, tmp_path, capsys):

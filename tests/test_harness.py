@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cbboost.harness import (
     CellResult,
     ExperimentConfig,
     ResultsTable,
+    config_from_echo,
     derive_seed,
     parse_method,
     run_corr,
@@ -95,6 +97,12 @@ class TestExperimentConfig:
             ExperimentConfig(methods=("adaboost", "bagging"))
         with pytest.raises(ValueError, match="jobs"):
             ExperimentConfig(jobs=0)
+        with pytest.raises(ValueError, match="k >= 1"):
+            ExperimentConfig(k=0)
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            ExperimentConfig(filter_thresholds=(0.0, 0.2))
+        with pytest.raises(ValueError, match="form must be"):
+            ExperimentConfig(confidence_form="bogus")
 
 
 def toy_train(seed=0, n=24):
@@ -393,26 +401,30 @@ def test_every_grid_trainer_call_goes_through_harness_names(monkeypatch):
     assert sorted(METHODS) == sorted(parse_method(m)[0] for m in cfg.methods)
 
 
+def non_default_config():
+    return ExperimentConfig(
+        scenario="sine",
+        train_n=64,
+        test_n=128,
+        noise_levels=(0.1, 0.25),
+        methods=("cb", "corr:0.4"),
+        repetitions=3,
+        base_seed=11,
+        confidence_method="bayes",
+        confidence_form="paper-literal",
+        k=7,
+        filter_thresholds=(0.2, 0.4),
+        boost=BoostConfig(
+            max_iterations=9, learner_mode="resample", seed=42, stop_rule="consistency",
+            consistency_a=0.3, epsilon_clamp=1e-9,
+        ),
+        jobs=2,
+    )
+
+
 class TestConfigEcho:
     def test_frozen_for_a_non_default_config(self):
-        cfg = ExperimentConfig(
-            scenario="sine",
-            train_n=64,
-            test_n=128,
-            noise_levels=(0.1, 0.25),
-            methods=("cb", "corr:0.4"),
-            repetitions=3,
-            base_seed=11,
-            confidence_method="bayes",
-            confidence_form="paper-literal",
-            k=7,
-            filter_thresholds=(0.2, 0.4),
-            boost=BoostConfig(
-                max_iterations=9, learner_mode="resample", seed=42, stop_rule="consistency",
-                consistency_a=0.3, epsilon_clamp=1e-9,
-            ),
-            jobs=2,
-        )
+        cfg = non_default_config()
         config = json.loads(table_to_json(ResultsTable(config=cfg, cells={})))["config"]
         assert config == {
             "scenario": "sine",
@@ -435,3 +447,20 @@ class TestConfigEcho:
             },
         }
         assert "jobs" not in config and "seed" not in config["boost"]
+
+    def test_read_back_gives_the_config(self):
+        cfg = non_default_config()
+        config = json.loads(table_to_json(ResultsTable(config=cfg, cells={})))["config"]
+        back = config_from_echo(config, "echo")
+        assert back == replace(cfg, jobs=1, boost=replace(cfg.boost, seed=0))
+        assert config_from_echo({}, "echo") == ExperimentConfig()
+
+    @pytest.mark.parametrize("body, message", [
+        ({"noise_levels": [0.1, "0.2"]}, r"noise_levels\[1\] must be a number"),
+        ({"methods": ["cb", 5]}, r"methods\[1\] must be a string"),
+        ({"boost": {"consistency_a": False}}, "boost.consistency_a must be a number"),
+        ({"boost": []}, "boost must be a JSON object"),
+    ])
+    def test_read_rejects_wrong_json_types(self, body, message):
+        with pytest.raises(ValueError, match=f"^cfg.json: .*{message}"):
+            config_from_echo(body, "cfg.json")

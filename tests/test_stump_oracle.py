@@ -2,10 +2,13 @@
 
 The oracle below is the original trainer: every call sorts each column
 again, recomputes its candidate thresholds and split positions, and then
-runs the same cumulative-sum bracket and exact re-scoring pass. Fitting on
-a Presorted matrix, built once and swept many times, must return the same
-(feature, threshold, polarity) bit for bit.
+runs the same cumulative-sum bracket and the original exact re-scoring pass,
+which predicts and masks each polarity separately. Fitting on a Presorted
+matrix, built once and swept many times, must return the same (feature,
+threshold, polarity) bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +16,13 @@ import pytest
 from cbboost import boost
 from cbboost.boost import BoostConfig, train_adaboost
 from cbboost.dataset import inject_label_noise
-from cbboost.stump import Presorted, _exact_error, candidate_thresholds, train_stump
+from cbboost.stump import Presorted, candidate_thresholds, train_stump
 from cbboost.synth import gen_normal
+
+
+def oracle_exact_error(col, t, pol, y, w):
+    pred = np.where(col > t, pol, -pol)
+    return math.fsum(w[pred != y])
 
 
 def oracle_train_stump(X, y, w):
@@ -48,7 +56,7 @@ def oracle_train_stump(X, y, w):
         for i in near:
             t = float(thr[i])
             for pol in (1, -1):
-                e = _exact_error(X[:, j], t, pol, y, w)
+                e = oracle_exact_error(X[:, j], t, pol, y, w)
                 if e < best_err:
                     best_err = e
                     best = (j, t, pol)
