@@ -42,12 +42,17 @@ def one_cell(scenario, level, method, form, reps, n, base_seed):
         clean_means.append(stats["clean"].mean)
         if stats["mislabeled"] is not None:
             noisy_means.append(stats["mislabeled"].mean)
+    # None where a group has no runs (noise 0 flips nothing) or one run (no spread)
     return (
         float(np.mean(clean_means)),
-        float(np.std(clean_means, ddof=1)),
+        float(np.std(clean_means, ddof=1)) if len(clean_means) > 1 else None,
         float(np.mean(noisy_means)) if noisy_means else None,
         float(np.std(noisy_means, ddof=1)) if len(noisy_means) > 1 else None,
     )
+
+
+def fmt(v):
+    return "n/a" if v is None else f"{v:.4f}"
 
 
 def main():
@@ -69,8 +74,8 @@ def main():
             rows.append((method, form or "", level, cm, cs, nm, ns))
             label = method if form is None else f"{method}/{form}"
             print(
-                f"{label:<20} @{level:>4} : clean {cm:.4f} +/- {cs:.4f}   "
-                f"mislabeled {nm:.4f} +/- {ns:.4f}"
+                f"{label:<20} @{level:>4} : clean {fmt(cm)} +/- {fmt(cs)}   "
+                f"mislabeled {fmt(nm)} +/- {fmt(ns)}"
             )
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -14,13 +14,16 @@ the full dataset so filtering never shifts the geometry. Neighbor ties at
 equal distance resolve to the lower row index.
 
 Neighbors are found exactly, by query blocks of about a million pairwise
-differences, so no n x n matrix is ever held. The filter searches every
-row's 4k nearest rows once and serves all its rounds from that table,
-searching again only for a row with fewer than k table entries left (in
-practice, rows whose entire neighbourhood the filter removed); the kNN vote
-is one more pass over n x kept. Cost is O(n^2) time and O(block*n + n*k)
-memory, with the same tie rule. CBBOOST_LOG=DEBUG logs one line per filter
-round: threshold, survivors in, rows removed, and re-searched rows.
+differences, so no n x n matrix is ever held. A Neighbours table, built once
+per feature matrix, holds every row's 4k nearest other rows; every filter
+round and the kNN vote are served from it, searching again only for a row
+with fewer than k live table entries left (in practice, rows whose entire
+neighbourhood the filter removed). The table depends on the features alone,
+so all noise levels of one training set can share it. Cost is one O(n^2)
+search per matrix and O(block*n + n*k) memory, with the same tie rule.
+CBBOOST_LOG=DEBUG logs one line per filter round (threshold, survivors in,
+rows removed, re-searched rows) and one per vote (rows, rows served from the
+table, re-searched rows).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "ConfidenceVector",
     "FilterRound",
     "FilterReport",
+    "Neighbours",
     "noise_filter",
     "knn_confidence",
     "bayes_confidence",
@@ -60,6 +64,8 @@ FORMS = ("consistent", "paper-literal")
 _BLOCK = 1 << 20
 
 log = logging.getLogger(__name__)
+# a child logger, so a handler on the filter's rounds can tell the vote apart
+vote_log = logging.getLogger(__name__ + ".vote")
 
 
 @dataclass(frozen=True)
@@ -187,11 +193,77 @@ def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
     return apply_scaler(fit_scaler(ds), ds).features
 
 
+class Neighbours:
+    """Every row's nearest other rows of one feature matrix, searched once.
+
+    X holds the matrix distances are taken on (z-scored when standardize is
+    set) and table[i] row i's min(4k, n-1) nearest other rows in (distance,
+    index) order. The table depends on the features alone, so the filter,
+    the vote and every label vector drawn over the same features can share
+    it. The arrays are read-only copies, so the table cannot fall out of
+    step with the matrix it was built from.
+    """
+
+    def __init__(self, features, k: int = DEFAULT_K, standardize: bool = True):
+        check_settings(k=k)
+        # the scaler reads only the features; the labels are placeholders
+        ds = Dataset(features, np.ones(np.shape(features)[:1], dtype=np.int64))
+        self.features = ds.features
+        self.standardize = standardize
+        self.X = _standardized(ds, standardize)
+        depth = min(4 * k, ds.n - 1)
+        rows = np.arange(ds.n)
+        table = _k_nearest(self.X, self.X, depth, rows) if depth else np.empty((ds.n, 0), dtype=np.int64)
+        self.table = frozen(table)
+
+    @property
+    def n(self) -> int:
+        return self.table.shape[0]
+
+    def nearest(self, rows: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+        """Each of rows' k nearest rows among the sorted refs, self excluded.
+
+        A row's first k table entries in refs are exactly its k nearest refs
+        under the (distance, index) rule, because the table is a prefix of
+        that order over all rows. Rows with fewer than k such entries are
+        searched again among refs. Returns the neighbours' row indices and
+        the number of rows searched again.
+        """
+        alive = np.zeros(self.n, dtype=bool)
+        alive[refs] = True
+        cand = self.table[rows]
+        live = alive[cand]
+        take = live & (np.cumsum(live, axis=1) <= k)
+        short = np.count_nonzero(take, axis=1) < k
+        nbr = np.empty((rows.size, k), dtype=np.int64)
+        nbr[~short] = cand[~short][take[~short]].reshape(-1, k)
+        redo = np.flatnonzero(short)
+        if redo.size:
+            pos = np.full(self.n, -1, dtype=np.int64)
+            pos[refs] = np.arange(refs.size)
+            nbr[redo] = refs[_k_nearest(self.X[rows[redo]], self.X[refs], k, pos[rows[redo]])]
+        return nbr, redo.size
+
+
+def _neighbours_for(ds: Dataset, neighbours: Neighbours | None, k: int, standardize: bool) -> Neighbours:
+    if neighbours is None:
+        return Neighbours(ds.features, k, standardize)
+    if neighbours.standardize != standardize:
+        raise ValueError(
+            f"neighbour table was built with standardize={neighbours.standardize}, "
+            f"called with standardize={standardize}"
+        )
+    if not np.array_equal(neighbours.features, ds.features):
+        raise ValueError("neighbour table was built from a different feature matrix")
+    return neighbours
+
+
 def noise_filter(
     ds: Dataset,
     k: int = DEFAULT_K,
     thresholds=DEFAULT_THRESHOLDS,
     standardize: bool = True,
+    neighbours: Neighbours | None = None,
 ) -> FilterReport:
     """Iteratively remove rows whose neighborhood agreement falls below a rising bar.
 
@@ -199,40 +271,25 @@ def noise_filter(
     (self excluded) and removes every row whose fraction of label-agreeing
     neighbors is strictly below that round's threshold. If at any round the
     survivor count is k or fewer the filter stops and flags the report
-    aborted rather than divide up a too-small set.
+    aborted rather than divide up a too-small set. Neighbourhoods are served
+    from `neighbours`, built here from ds when not given.
     """
     thresholds = check_settings(k=k, thresholds=thresholds)
-    X = _standardized(ds, standardize)
+    nb = _neighbours_for(ds, neighbours, k, standardize)
     y = ds.labels
     surv = np.arange(ds.n)
-    # every row's 4k nearest others, searched once: the table is a prefix of
-    # the row's (distance, index) order over all rows, so its first k
-    # survivors are exactly the row's k nearest survivors
-    if ds.n > k:
-        table = _k_nearest(X, X, min(4 * k, ds.n - 1), surv)
     rounds: list[FilterRound] = []
     aborted = False
     for r, t in enumerate(thresholds, start=1):
         if surv.size <= k:
             aborted = True
             break
-        alive = np.zeros(ds.n, dtype=bool)
-        alive[surv] = True
-        cand = table[surv]
-        live = alive[cand]
-        take = live & (np.cumsum(live, axis=1) <= k)
-        short = np.count_nonzero(take, axis=1) < k
-        nbr = np.empty((surv.size, k), dtype=np.int64)
-        nbr[~short] = cand[~short][take[~short]].reshape(-1, k)
-        # rows with fewer than k table entries left: search the survivors again
-        redo = np.flatnonzero(short)
-        if redo.size:
-            nbr[redo] = surv[_k_nearest(X[surv[redo]], X[surv], k, redo)]
+        nbr, redone = nb.nearest(surv, surv, k)
         agree = (y[nbr] == y[surv][:, None]).mean(axis=1)
         out = agree < t
         log.debug(
             "filter round %d: threshold %g, %d survivors in, %d removed, %d exact re-searches",
-            r, t, surv.size, np.count_nonzero(out), redo.size,
+            r, t, surv.size, np.count_nonzero(out), redone,
         )
         rounds.append(FilterRound(t, surv[out]))
         surv = surv[~out]
@@ -244,22 +301,25 @@ def knn_confidence(
     reduced: FilterReport,
     k: int = DEFAULT_K,
     standardize: bool = True,
+    neighbours: Neighbours | None = None,
 ) -> ConfidenceVector:
     """Fraction of the k nearest kept-set neighbors sharing each row's label.
 
     Confidence is produced for every row of ds, removed rows included. A kept
     row never counts itself among its neighbors. Values land on the grid
     {0, 1/k, ..., 1}, and relabeling a row to the opposite class maps its
-    confidence g to 1 - g.
+    confidence g to 1 - g. Neighbours are served from `neighbours`, built
+    here from ds when not given.
     """
     kept = reduced.kept
     if kept.size <= k:
         raise ValueError(f"reference set has {kept.size} rows, need more than k={k}")
-    X = _standardized(ds, standardize)
-    pos = np.full(ds.n, -1, dtype=np.int64)
-    pos[kept] = np.arange(kept.size)
-    nbr = _k_nearest(X, X[kept], k, pos)
-    gamma = (ds.labels[kept][nbr] == ds.labels[:, None]).mean(axis=1)
+    nb = _neighbours_for(ds, neighbours, k, standardize)
+    nbr, redone = nb.nearest(np.arange(ds.n), kept, k)
+    vote_log.debug(
+        "knn vote: %d rows, %d served from the table, %d exact re-searches", ds.n, ds.n - redone, redone
+    )
+    gamma = (ds.labels[nbr] == ds.labels[:, None]).mean(axis=1)
     return ConfidenceVector(gamma)
 
 
@@ -350,11 +410,18 @@ def estimate_confidence(
     noise_level: float | None = None,
     form: str = "consistent",
     standardize: bool = True,
+    neighbours: Neighbours | None = None,
 ) -> tuple[ConfidenceVector, FilterReport]:
-    """Filter then score: the standard two-stage confidence pipeline."""
-    report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize)
+    """Filter then score: the standard two-stage confidence pipeline.
+
+    Both stages read one neighbour table: `neighbours` when given, else one
+    built here from ds.
+    """
+    check_settings(k=k, thresholds=thresholds)
+    nb = _neighbours_for(ds, neighbours, k, standardize)
+    report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize, neighbours=nb)
     if method == "knn":
-        return knn_confidence(ds, report, k=k, standardize=standardize), report
+        return knn_confidence(ds, report, k=k, standardize=standardize, neighbours=nb), report
     if method == "bayes":
         if noise_level is None:
             raise ValueError("bayes confidence requires a noise_level")

@@ -3,9 +3,11 @@
 A run draws fresh train/test data per repetition, injects label noise,
 estimates confidence once per (repetition, noise level), and hands the same
 confidence vector to every method that needs it, so method comparisons never
-diverge through their preprocessing. Seeds for every random stage derive
-from (base_seed, repetition, stage tag) through SHA-256, making each stage
-independent of scheduling and of which other stages exist.
+diverge through their preprocessing. Noise flips labels only, so all noise
+levels of a repetition read one neighbour table built from its features.
+Seeds for every random stage derive from (base_seed, repetition, stage tag)
+through SHA-256, making each stage independent of scheduling and of which
+other stages exist.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .confidence import (
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     ConfidenceVector,
+    Neighbours,
     check_settings,
     estimate_confidence,
 )
@@ -109,8 +112,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("normal", "sine"):
             raise ValueError(f"scenario must be 'normal' or 'sine', got {self.scenario!r}")
-        if self.train_n < 2 or self.test_n < 1:
-            raise ValueError(f"need train_n >= 2 and test_n >= 1, got {self.train_n}/{self.test_n}")
+        if self.train_n < 2 or self.test_n < 2:
+            raise ValueError(f"need train_n >= 2 and test_n >= 2, got {self.train_n}/{self.test_n}")
         if self.repetitions < 1:
             raise ValueError(f"need at least 1 repetition, got {self.repetitions}")
         for lv in self.noise_levels:
@@ -224,6 +227,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
     out = {}
     test = generate(SynthSpec(cfg.scenario, cfg.test_n, derive_seed(cfg.base_seed, rep, "test")))
     train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
+    nb = None
     for level in cfg.noise_levels:
         level = float(level)
         noisy, _mask = inject_label_noise(
@@ -233,6 +237,8 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
         gamma_err = None
         if _needs_gamma(cfg.methods):
             try:
+                if nb is None:
+                    nb = Neighbours(train.features, cfg.k)
                 gamma, _report = estimate_confidence(
                     noisy,
                     method=cfg.confidence_method,
@@ -240,6 +246,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
                     thresholds=cfg.filter_thresholds,
                     noise_level=level if cfg.confidence_method == "bayes" else None,
                     form=cfg.confidence_form,
+                    neighbours=nb,
                 )
             except (ValueError, np.linalg.LinAlgError) as exc:
                 gamma_err = f"confidence failed: {exc}"

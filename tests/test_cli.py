@@ -451,6 +451,12 @@ class TestBench:
         assert message in err
         assert not (tmp_path / "o").exists()
 
+    def test_test_n_of_one_rejected_before_the_grid_runs(self, tmp_path, capsys):
+        err = run_fail(capsys, "bench", "--out-dir", str(tmp_path / "o"), "--test-n", "1")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "test_n" in err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_methods_flag_rejected(self, tmp_path, capsys):
         err = run_fail(capsys, "bench", "--out-dir", str(tmp_path / "o"), "--methods", "")
         assert err.startswith("error: ") and "unknown method" in err

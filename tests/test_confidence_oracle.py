@@ -19,6 +19,7 @@ from cbboost.confidence import (
     ConfidenceVector,
     FilterReport,
     FilterRound,
+    Neighbours,
     estimate_confidence,
     knn_confidence,
     noise_filter,
@@ -174,3 +175,83 @@ def test_peak_memory_below_one_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 * 8
+
+
+@pytest.mark.parametrize("data", ["normal", "grid ties"])
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_one_table_serves_every_noise_level(block, data, k, standardize):
+    base = gen_normal(300, seed=k) if data == "normal" else grid_dataset(300, 3, seed=k)
+    nb = Neighbours(base.features, k=k, standardize=standardize)
+    for level in (0.0, 0.1, 0.2, 0.3):
+        noisy, _ = inject_label_noise(base, level, seed=7)
+        report = noise_filter(noisy, k=k, standardize=standardize, neighbours=nb)
+        want = oracle_noise_filter(noisy, k=k, standardize=standardize)
+        assert_same_report(report, want)
+        assert_same_report(noise_filter(noisy, k=k, standardize=standardize), want)
+        ref = oracle_knn_confidence(noisy, want, k=k, standardize=standardize).gamma.tobytes()
+        assert knn_confidence(noisy, report, k=k, standardize=standardize, neighbours=nb).gamma.tobytes() == ref
+        assert knn_confidence(noisy, report, k=k, standardize=standardize).gamma.tobytes() == ref
+        gamma, again = estimate_confidence(noisy, k=k, standardize=standardize, neighbours=nb)
+        assert gamma.gamma.tobytes() == ref
+        assert_same_report(again, want)
+
+
+def test_table_is_a_read_only_copy():
+    X = gen_normal(50, seed=1).features.copy()
+    nb = Neighbours(X, k=2)
+    X[0, 0] += 1.0
+    assert not np.array_equal(nb.features, X)
+    assert nb.table.shape == (50, 8)
+    for a in (nb.features, nb.X, nb.table):
+        assert not a.flags.writeable
+
+
+def test_mismatched_table_rejected():
+    noisy, _ = inject_label_noise(gen_normal(60, seed=2), 0.2, seed=3)
+    report = noise_filter(noisy)
+    other = Dataset(noisy.features[:-1], noisy.labels[:-1])
+    shifted = Dataset(noisy.features + 1e-9, noisy.labels)
+    calls = (
+        lambda ds, **kw: noise_filter(ds, **kw),
+        lambda ds, **kw: knn_confidence(ds, report, **kw),
+        lambda ds, **kw: estimate_confidence(ds, **kw),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="different feature matrix"):
+            call(other, neighbours=Neighbours(noisy.features))
+        with pytest.raises(ValueError, match="different feature matrix"):
+            call(shifted, neighbours=Neighbours(noisy.features))
+        with pytest.raises(ValueError, match="standardize"):
+            call(noisy, standardize=False, neighbours=Neighbours(noisy.features))
+        with pytest.raises(ValueError, match="standardize"):
+            call(noisy, neighbours=Neighbours(noisy.features, standardize=False))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_few_rows_match_oracle(n):
+    rng = np.random.default_rng(n)
+    ds = Dataset(rng.normal(size=(n, 2)), rng.choice([-1, 1], size=n))
+    nb = Neighbours(ds.features, k=5)
+    assert nb.table.shape == (n, n - 1)
+    want = oracle_noise_filter(ds, k=5)
+    if n <= 5:
+        assert want.aborted and not want.rounds
+    assert_same_report(noise_filter(ds, k=5), want)
+    assert_same_report(noise_filter(ds, k=5, neighbours=nb), want)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exhausted_table_re_searches_in_the_vote(k, caplog):
+    ds = fallback_dataset(k)
+    report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False)
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
+        gamma = knn_confidence(ds, report, k=k, standardize=False)
+    assert gamma.gamma.tobytes() == oracle_knn_confidence(ds, report, k=k, standardize=False).gamma.tobytes()
+    (vote,) = [rec for rec in caplog.records if rec.name == "cbboost.confidence.vote"]
+    rows, served, re_searched = vote.args
+    assert rows == ds.n and served + re_searched == ds.n
+    assert re_searched >= 1
+    assert vote.getMessage() == (
+        f"knn vote: {ds.n} rows, {served} served from the table, {re_searched} exact re-searches"
+    )

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbboost import boost, harness
+from cbboost import boost, confidence, harness
 from cbboost.boost import BoostConfig, Ensemble, train_adaboost, train_cb_adaboost
 from cbboost.confidence import ConfidenceVector
 from cbboost.dataset import Dataset, inject_label_noise
@@ -87,6 +87,8 @@ class TestExperimentConfig:
             ExperimentConfig(scenario="moons")
         with pytest.raises(ValueError, match="train_n"):
             ExperimentConfig(train_n=1)
+        with pytest.raises(ValueError, match="test_n"):
+            ExperimentConfig(test_n=1)
         with pytest.raises(ValueError, match="repetition"):
             ExperimentConfig(repetitions=0)
         with pytest.raises(ValueError, match="noise levels"):
@@ -399,6 +401,38 @@ def test_every_grid_trainer_call_goes_through_harness_names(monkeypatch):
     cells = cfg.repetitions * len(cfg.noise_levels)
     assert calls == {"train_adaboost": 4 * cells, "train_cb_adaboost": cells, "engine": 5 * cells}
     assert sorted(METHODS) == sorted(parse_method(m)[0] for m in cfg.methods)
+
+
+class TestOneTablePerRepetition:
+    """Every Neighbours construction is counted, wherever it happens."""
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        built = []
+        init = confidence.Neighbours.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(confidence.Neighbours, "__init__", counting_init)
+        return built
+
+    def grid(self, methods, reps=1):
+        return ExperimentConfig(
+            train_n=60, test_n=50, noise_levels=(0.0, 0.1, 0.2, 0.3), methods=methods,
+            repetitions=reps, base_seed=5, boost=BoostConfig(max_iterations=3),
+        )
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_one_table_for_all_noise_levels(self, tables, reps):
+        table = run_experiment(self.grid(("adaboost", "cb"), reps))
+        assert all(v is not None for cell in table.cells.values() for v in cell.values)
+        assert len(tables) == reps
+
+    def test_no_table_without_a_gamma_method(self, tables):
+        run_experiment(self.grid(("stump", "adaboost")))
+        assert tables == []
 
 
 def non_default_config():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -46,3 +48,23 @@ def test_confidence_table(tmp_path):
     ]
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 4  # header plus one row per estimator
+
+
+@pytest.mark.parametrize("level, reps", [("0", "2"), ("0.2", "1")])
+def test_confidence_table_without_a_spread(tmp_path, level, reps):
+    # noise 0 leaves no mislabeled rows; one repetition has no std
+    out = tmp_path / "confidence.csv"
+    proc = run_script(
+        "confidence_table.py", "--noise-levels", level, "--repetitions", reps, "--train-n", "60",
+        "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "n/a" in proc.stdout
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["mislabeled_std"] == ""
+        assert float(row["clean_mean"]) > 0.0
+        assert (row["mislabeled_mean"] == "") == (level == "0")
+        assert (row["clean_std"] == "") == (reps == "1")
