@@ -9,7 +9,8 @@ the manifest is the filename convention itself.
 
 Errors print as a single `error: ...` line on stderr with exit status 2
 (argument problems exit 2 via argparse as well). The CBBOOST_LOG environment
-variable (DEBUG/INFO/WARNING/...) controls log verbosity.
+variable (DEBUG/INFO/WARNING/...) controls log verbosity; any other value is
+rejected the same way.
 """
 
 from __future__ import annotations
@@ -399,12 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CBBOOST_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    setting = os.environ.get("CBBOOST_LOG", "WARNING")
+    level = setting.upper()
+    # getLevelName maps a known level name to its number, anything else to a str
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: CBBOOST_LOG={setting!r} is not a log level, expected DEBUG, INFO, WARNING, "
+              "ERROR or CRITICAL", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

@@ -13,22 +13,30 @@ Distances are Euclidean on z-scored features; the scaler is fitted once on
 the full dataset so filtering never shifts the geometry. Neighbor ties at
 equal distance resolve to the lower row index.
 
-Neighbors are found exactly, by query blocks of about a million pairwise
-differences, so no n x n matrix is ever held. A Neighbours table, built once
-per feature matrix, holds every row's 4k nearest other rows; every filter
-round and the kNN vote are served from it, searching again only for a row
-with fewer than k live table entries left (in practice, rows whose entire
-neighbourhood the filter removed). The table depends on the features alone,
-so all noise levels of one training set can share it. Cost is one O(n^2)
-search per matrix and O(block*n + n*k) memory, with the same tie rule.
-CBBOOST_LOG=DEBUG logs one line per filter round (threshold, survivors in,
-rows removed, re-searched rows) and one per vote (rows, rows served from the
-table, re-searched rows).
+Neighbors are found exactly and no n x n matrix is ever held. A Neighbours
+table, built once per feature matrix, holds every row's 4k nearest other
+rows; every filter round and the kNN vote are served from it, searching
+again only for a row with fewer than k live table entries left (in practice,
+rows whose entire neighbourhood the filter removed). The table depends on
+the features alone, so all noise levels of one training set can share it.
+With at most three features and at least a thousand or so rows, the table
+comes from a uniform cell grid (Bentley 1975): each row ranks only the rows
+of the cells around its own, widening the ring of cells until no row outside
+can come closer, so the search grows about linearly in n. Otherwise it is a
+brute-force O(n^2) search in query blocks of about a million pairwise
+differences. Both give the same table bit for bit, with the same tie rule,
+in O(block + n*k) memory. CBBOOST_LOG=DEBUG logs one line per table build
+(rows, depth, search path, distance pairs computed, rows that needed a wider
+ring, seconds), one per filter round (threshold, survivors in, rows removed,
+re-searched rows) and one per vote (rows, rows served from the table,
+re-searched rows).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -62,10 +70,21 @@ FORMS = ("consistent", "paper-literal")
 
 # doubles in one query block's pairwise temporary (8 MB)
 _BLOCK = 1 << 20
+# features p -> (fewest rows, rows per cell) of the cell-grid table search.
+# The fewest rows are the measured crossover with the blocked search; rows per
+# cell, averaged over the bounding box, measured fastest on normal and uniform
+# data at n = 2000 to 20000 (smaller cells pay in more dimensions, where a
+# ring of cells holds more rows). Other p take the blocked search.
+_CELL_GRID = {1: (1000, 8.0), 2: (1000, 2.0), 3: (2000, 0.5)}
+# a grid whose first ring of cells would hold more than this share of the n^2
+# pairs (heavy tails or tight clusters crowd most rows into a few cells) is
+# dropped for the blocked search, which computes a pair several times faster
+_CELL_CROWDED = 1 / 8
 
 log = logging.getLogger(__name__)
 # a child logger, so a handler on the filter's rounds can tell the vote apart
 vote_log = logging.getLogger(__name__ + ".vote")
+table_log = logging.getLogger(__name__ + ".table")
 
 
 @dataclass(frozen=True)
@@ -129,15 +148,18 @@ class FilterReport:
         return self.kept.size
 
 
-def _sq_dists(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
+def _sq_dists(queries: np.ndarray, refs: np.ndarray, cand: np.ndarray | None = None) -> np.ndarray:
     # exact per-pair differences; the usual |a|^2 + |b|^2 - 2ab expansion is
     # faster but its rounding can split true distance ties, which would break
-    # the lower-index tie rule. d is filled one feature at a time for long
-    # inner loops; the reduction stays one einsum over the contiguous
-    # (q, m, p) array, so every pair's sum runs in the same fixed order.
-    d = np.empty((queries.shape[0],) + refs.shape)
+    # the lower-index tie rule. Every query meets all m refs, or with cand
+    # (q, c) query i meets refs[cand[i]] only. d is filled one feature at a
+    # time for long inner loops; the reduction stays one einsum over the
+    # contiguous (q, m or c, p) array, so every pair's sum runs in the same
+    # fixed order whichever layout it came from.
+    width = refs.shape[0] if cand is None else cand.shape[1]
+    d = np.empty((queries.shape[0], width, refs.shape[1]))
     for j in range(refs.shape[1]):
-        np.subtract(queries[:, j, None], refs[None, :, j], out=d[:, :, j])
+        np.subtract(queries[:, j, None], refs[:, j] if cand is None else refs[cand, j], out=d[:, :, j])
     return np.einsum("ijk,ijk->ij", d, d)
 
 
@@ -158,15 +180,166 @@ def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarra
         ex = exclude[s : s + step]
         own = np.flatnonzero(ex >= 0)
         d2[own, ex[own]] = np.inf
-        top = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-        td = np.take_along_axis(d2, top, axis=1)
-        nearest = np.take_along_axis(top, np.argsort(td, axis=1, kind="stable"), axis=1)
-        kth = td.max(axis=1, keepdims=True)
-        for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
-            cand = np.flatnonzero(d2[r] <= kth[r])
-            nearest[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
-        out[s : s + step] = nearest
+        out[s : s + step] = _rank(d2, k)[0]
     return out
+
+
+def _rank(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of each row's k smallest d2 in (distance, position) order, and the k-th distance."""
+    top = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    td = np.take_along_axis(d2, top, axis=1)
+    nearest = np.take_along_axis(top, np.argsort(td, axis=1, kind="stable"), axis=1)
+    kth = td.max(axis=1, keepdims=True)
+    for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+        cand = np.flatnonzero(d2[r] <= kth[r])
+        nearest[r] = cand[np.argsort(d2[r, cand], kind="stable")[:k]]
+    return nearest, kth[:, 0]
+
+
+def _cell_side(span: np.ndarray, cells: float) -> float:
+    # equal-sided cells, about `cells` of them over the bounding box; a
+    # dimension spanning less than one side gets a single cell, and the side
+    # is solved over the others (in logs, so tiny or huge spans cannot overflow)
+    s = np.sort(span[span > 0])[::-1]
+    for m in range(s.size, 0, -1):
+        side = float(np.exp((np.sum(np.log(s[:m])) - np.log(cells)) / m))
+        if s[m - 1] >= side:
+            return side
+    return 1.0
+
+
+def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None:
+    """_k_nearest(X, X, depth, range(n)), found through a uniform cell grid.
+
+    Rows are bucketed into equal-sided cells. A row's candidates are the rows
+    of the (2R+1)^p cells around its own, sorted by row index and ranked with
+    the _sq_dists arithmetic and the _rank tie rule. The ranking is exact once
+    the depth-th candidate distance lies strictly below every distance a row
+    outside the block can have, and a block that covers the grid is always
+    exact. The bound comes from the rows themselves: per dimension, the
+    largest coordinate in the cells below the block and the smallest in the
+    cells above. Rounding is monotone, so no outside row's computed squared
+    distance can fall below the computed square of the row's gap to those
+    coordinates (clamped at zero), and no slack is needed. A row short of the
+    bound retries with the ring its depth-th distance calls for, at least R+1;
+    a row with too few candidates doubles R. Queries are padded to the widest
+    candidate list of their chunk, taken in order of width, and every
+    (queries, candidates, p) temporary stays near _BLOCK doubles. Returns the
+    table, the distance pairs computed (padding included) and the number of
+    rows that needed a wider ring; or None, before any distance is computed,
+    where the blocked search is the one to use: too many features or too few
+    rows (_CELL_GRID), a span whose squares overflow (infinite distances, which
+    no bound can separate) or cells too crowded to pay (_CELL_CROWDED).
+    """
+    n, p = X.shape
+    if p not in _CELL_GRID or n < _CELL_GRID[p][0]:
+        return None
+    span = np.ptp(X, axis=0)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(np.square(span))):
+            return None
+    side = _cell_side(span, n / _CELL_GRID[p][1])
+    # the grid's own copy, the dimension with the most cells last, so a block
+    # is a few long runs of consecutive cells
+    G = X[:, np.argsort(span, kind="stable")]
+    lo = G.min(axis=0)
+    shape = ((G.max(axis=0) - lo) // side).astype(np.int64) + 1
+    coord = np.minimum(((G - lo) // side).astype(np.int64), shape - 1)
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    cell = coord @ strides
+    counts = np.bincount(cell, minlength=int(np.prod(shape)))
+    # rows in the 3^p cells around each cell: the first ring's candidates
+    near = counts.reshape(shape)
+    for f in range(p):
+        near = np.moveaxis(near, f, 0)
+        ring1 = near.copy()
+        ring1[1:] += near[:-1]
+        ring1[:-1] += near[1:]
+        near = np.moveaxis(ring1, 0, f)
+    if counts @ near.ravel() > _CELL_CROWDED * n * n:
+        return None
+    order = np.argsort(cell, kind="stable")
+    starts = np.append(0, np.cumsum(counts))
+    # below[f][c]: the largest G[:, f] in cells with coordinate < c along f;
+    # above[f][c]: the smallest in cells with coordinate >= c (+-inf if none)
+    below, above = [], []
+    for f in range(p):
+        hi = np.full(shape[f], -np.inf)
+        np.maximum.at(hi, coord[:, f], G[:, f])
+        mn = np.full(shape[f], np.inf)
+        np.minimum.at(mn, coord[:, f], G[:, f])
+        below.append(np.append(-np.inf, np.maximum.accumulate(hi)))
+        above.append(np.append(np.minimum.accumulate(mn[::-1])[::-1], np.inf))
+    padded = np.vstack([X, np.zeros((1, p))])  # candidate position n pads a list
+    table = np.empty((n, depth), dtype=np.int64)
+    pairs = widened = 0
+    full = int(shape.max()) - 1  # the ring that covers the whole grid
+    pending, rings = order, np.ones(n, dtype=np.int64)
+    while pending.size:
+        ring = int(rings.min())
+        now = rings == ring
+        retry, retry_rings = [pending[~now]], [rings[~now]]
+        # the block's runs of cells along the last dimension, one per offset
+        # of the leading ones; each run is a contiguous slice of `order`
+        reach = [range(-min(ring, s - 1), min(ring, s - 1) + 1) for s in shape[:-1]]
+        offs = list(itertools.product(*reach))
+        offs = np.array(offs, dtype=np.int64).reshape(len(offs), p - 1)
+        todo = pending[now]
+        step = max(1, _BLOCK // (offs.shape[0] * p))
+        for s in range(0, todo.size, step):
+            rows = todo[s : s + step]
+            c = coord[rows]
+            lead = c[:, None, :-1] + offs
+            inside = np.all((lead >= 0) & (lead < shape[:-1]), axis=2)
+            base = np.where(inside, lead @ strides[:-1], 0)
+            first = starts[base + np.maximum(c[:, -1:] - ring, 0)]
+            runs = np.where(inside, starts[base + np.minimum(c[:, -1:] + ring, shape[-1] - 1) + 1] - first, 0)
+            width = runs.sum(axis=1)
+            gap = np.full(rows.size, np.inf)
+            for f in range(p):
+                g = G[rows, f]
+                gap = np.minimum(gap, g - below[f][np.maximum(c[:, f] - ring, 0)])
+                gap = np.minimum(gap, above[f][np.minimum(c[:, f] + ring + 1, shape[f])] - g)
+            bound = np.square(np.maximum(gap, 0.0))
+            short = width <= depth
+            retry.append(rows[short])
+            retry_rings.append(np.full(np.count_nonzero(short), min(2 * ring, full)))
+            wide = np.flatnonzero(~short)
+            wide = wide[np.argsort(-width[wide], kind="stable")]
+            q = 0
+            while q < wide.size:
+                chunk = wide[q : q + max(1, _BLOCK // (int(width[wide[q]]) * p))]
+                q += chunk.size
+                cand = _gather_runs(order, first[chunk], runs[chunk], int(width[chunk[0]]), n)
+                d2 = _sq_dists(X[rows[chunk]], padded, cand)
+                d2[cand == n] = np.inf
+                d2[cand == rows[chunk, None]] = np.inf
+                pairs += d2.size
+                nearest, kth = _rank(d2, depth)
+                done = (kth < bound[chunk]) | np.isinf(bound[chunk])
+                table[rows[chunk[done]]] = np.take_along_axis(cand[done], nearest[done], axis=1)
+                retry.append(rows[chunk[~done]])
+                # a ring R keeps rows nearer than R cell sides inside the block
+                need = np.minimum(np.ceil(np.sqrt(kth[~done]) / side), full)
+                retry_rings.append(np.maximum(need.astype(np.int64), ring + 1))
+        pending, rings = np.concatenate(retry), np.concatenate(retry_rings)
+        if ring == 1:
+            widened = pending.size
+    return table, pairs, widened
+
+
+def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int, pad: int) -> np.ndarray:
+    """Each query's rows order[first[i, j] : first[i, j] + runs[i, j]] over j, padded with
+    `pad` to `width` columns and sorted, so candidate position follows row index."""
+    lengths = runs.ravel()
+    total = int(lengths.sum())
+    count = runs.sum(axis=1)
+    pos = np.arange(total) + np.repeat(first.ravel() - (np.cumsum(lengths) - lengths), lengths)
+    col = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    cand = np.full((runs.shape[0], width), pad, dtype=np.int64)
+    cand[np.repeat(np.arange(runs.shape[0]), count), col] = order[pos]
+    cand.sort(axis=1)
+    return cand
 
 
 def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str = "consistent") -> tuple:
@@ -212,8 +385,19 @@ class Neighbours:
         self.standardize = standardize
         self.X = _standardized(ds, standardize)
         depth = min(4 * k, ds.n - 1)
-        rows = np.arange(ds.n)
-        table = _k_nearest(self.X, self.X, depth, rows) if depth else np.empty((ds.n, 0), dtype=np.int64)
+        t0 = time.perf_counter()
+        found = _cell_table(self.X, depth) if depth else None
+        if found is not None:
+            (table, pairs, widened), path = found, "cells"
+        elif depth:
+            table = _k_nearest(self.X, self.X, depth, np.arange(ds.n))
+            path, pairs, widened = "blocked", ds.n * ds.n, 0
+        else:
+            table, path, pairs, widened = np.empty((ds.n, 0), dtype=np.int64), "blocked", 0, 0
+        table_log.debug(
+            "neighbour table: %d rows, depth %d, %s search, %d distance pairs, %d rows widened, %.3f s",
+            ds.n, depth, path, pairs, widened, time.perf_counter() - t0,
+        )
         self.table = frozen(table)
 
     @property
@@ -418,15 +602,16 @@ def estimate_confidence(
     built here from ds.
     """
     check_settings(k=k, thresholds=thresholds)
+    # rejected before the table search, which dominates the cost of a call
+    if method not in ("knn", "bayes"):
+        raise ValueError(f"unknown confidence method {method!r}, expected 'knn' or 'bayes'")
+    if method == "bayes" and noise_level is None:
+        raise ValueError("bayes confidence requires a noise_level")
     nb = _neighbours_for(ds, neighbours, k, standardize)
     report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize, neighbours=nb)
     if method == "knn":
         return knn_confidence(ds, report, k=k, standardize=standardize, neighbours=nb), report
-    if method == "bayes":
-        if noise_level is None:
-            raise ValueError("bayes confidence requires a noise_level")
-        return bayes_confidence(ds, report, noise_level, form=form), report
-    raise ValueError(f"unknown confidence method {method!r}, expected 'knn' or 'bayes'")
+    return bayes_confidence(ds, report, noise_level, form=form), report
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -236,8 +237,22 @@ class TestConfidenceFlags:
             "confidence", "--in", str(pipeline / "noisy.csv"),
             "--out", str(pipeline / "x.csv"), "--method", "bayes",
         )
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "noise_level" in err
+
+    def test_unknown_log_level(self, pipeline):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "cbboost",
+                "confidence", "--in", str(pipeline / "noisy.csv"), "--out", str(pipeline / "x.csv"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "CBBOOST_LOG": "bogus"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: CBBOOST_LOG='bogus'") and proc.stderr.count("\n") == 1
+        assert not (pipeline / "x.csv").exists()
 
     def test_no_standardize_changes_result(self, tmp_path, capsys):
         # one feature on a 1000x scale: neighbor sets depend on whether

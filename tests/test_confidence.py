@@ -1,10 +1,13 @@
 """Neighborhood filter, KNN and Gaussian label-confidence, and gamma CSV IO."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from cbboost import confidence
 from cbboost.confidence import (
     ConfidenceVector,
     FilterReport,
@@ -326,6 +329,26 @@ class TestPipeline:
         g, _ = estimate_confidence(ds, method="knn")
         assert float(g.gamma.mean()) > 0.85
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"method": "svm"}, "unknown confidence method"), ({"method": "bayes"}, "requires a noise_level")],
+    )
+    def test_bad_method_rejected_before_the_table_search(self, monkeypatch, kwargs, message):
+        builds = []
+
+        class Counting(confidence.Neighbours):
+            def __init__(self, *args, **kw):
+                builds.append(args)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(confidence, "Neighbours", Counting)
+        ds = gen_normal(100, seed=15)
+        estimate_confidence(ds)
+        assert len(builds) == 1
+        with pytest.raises(ValueError, match=message):
+            estimate_confidence(ds, **kwargs)
+        assert len(builds) == 1
+
 
 class TestQuality:
     def test_group_stats(self):
@@ -383,3 +406,26 @@ class TestGammaCsv:
         path.write_text("gamma\n1.7\n")
         with pytest.raises(ValueError, match="outside"):
             read_gamma_csv(path)
+
+
+def test_imports_nothing_outside_stdlib_and_numpy():
+    # scipy is installed in some environments but is not a dependency; the
+    # exact neighbour search must not reach for it (or anything else)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import numpy as np\n"
+        "import cbboost\n"
+        "from cbboost.confidence import estimate_confidence\n"
+        "from cbboost.dataset import inject_label_noise\n"
+        "from cbboost.synth import gen_normal\n"
+        "noisy, _ = inject_label_noise(gen_normal(300, seed=1), 0.2, seed=2)\n"
+        "estimate_confidence(noisy)\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'cbboost'}\n"
+        "# modules loaded from a file; Cython's runtime registers file-less ones\n"
+        "loaded = {m for m in set(sys.modules) - before if getattr(sys.modules[m], '__file__', None)}\n"
+        "print(sorted({m.split('.')[0] for m in loaded} - allowed), 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False"

@@ -255,3 +255,142 @@ def test_exhausted_table_re_searches_in_the_vote(k, caplog):
     assert vote.getMessage() == (
         f"knn vote: {ds.n} rows, {served} served from the table, {re_searched} exact re-searches"
     )
+
+
+# --- cell-grid table search against the blocked search and the full matrix ---
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    # every p the cell grid serves takes it from the first row on, however
+    # crowded its cells
+    grid = {p: (0, rows) for p, (_, rows) in confidence._CELL_GRID.items()}
+    monkeypatch.setattr(confidence, "_CELL_GRID", grid)
+    monkeypatch.setattr(confidence, "_CELL_CROWDED", np.inf)
+
+
+def table_builds(caplog):
+    return [rec.args for rec in caplog.records if rec.name == "cbboost.confidence.table"]
+
+
+def assert_exact_table(features, k, caplog, standardize=True, path="cells"):
+    """The table equals the blocked search bit for bit, built by the named path."""
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
+        caplog.clear()
+        nb = Neighbours(features, k=k, standardize=standardize)
+    ((rows, depth, got_path, *_),) = table_builds(caplog)
+    assert (rows, depth, got_path) == (nb.n, min(4 * k, nb.n - 1), path)
+    want = confidence._k_nearest(nb.X, nb.X, depth, np.arange(nb.n)) if depth else nb.table
+    assert nb.table.tobytes() == want.tobytes()
+    return nb
+
+
+def assert_cells_match_oracle(ds, k, caplog, standardize=True):
+    assert_exact_table(ds.features, k, caplog, standardize=standardize)
+    return assert_matches_oracle(ds, k, standardize=standardize)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cells_grid_ties_match_oracle(cells, block, caplog, p, k):
+    ds = grid_dataset(240, p, seed=100 + 10 * p + k)
+    _, counts = np.unique(ds.features, axis=0, return_counts=True)
+    assert counts.max() > 1
+    for standardize in (True, False):
+        assert_cells_match_oracle(ds, k, caplog, standardize=standardize)
+
+
+@pytest.mark.parametrize("side", [1.0, 0.5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cells_rows_on_cell_edges(cells, block, caplog, monkeypatch, p, side):
+    # integer and half-integer rows with a cell side of 1 or 1/2: every row
+    # that is a multiple of the side sits exactly on a cell edge
+    monkeypatch.setattr(confidence, "_cell_side", lambda span, n_cells: side)
+    rng = np.random.default_rng(p)
+    X = rng.integers(0, 13, size=(200, p)) / 2.0
+    y = np.where(X.sum(axis=1) + rng.normal(0.0, 1.0, 200) >= 3.0 * p, 1, -1)
+    assert_cells_match_oracle(Dataset(X, y), 3, caplog, standardize=False)
+
+
+def test_cells_constant_column_and_identical_rows(cells, block, caplog):
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.normal(size=150), np.full(150, 2.5), rng.integers(0, 3, 150)])
+    y = rng.choice([-1, 1], size=150)
+    for standardize in (True, False):
+        assert_cells_match_oracle(Dataset(X, y), 5, caplog, standardize=standardize)
+    same = Dataset(np.ones((60, 2)), rng.choice([-1, 1], size=60))
+    for standardize in (True, False):
+        assert_cells_match_oracle(same, 5, caplog, standardize=standardize)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cells_far_apart_clusters(cells, block, caplog, p):
+    # the small cluster holds fewer rows than the table depth, so its rows
+    # widen their rings across empty cells until they reach the other one
+    rng = np.random.default_rng(p)
+    X = np.vstack([rng.normal(size=(150, p)), 1000.0 + rng.normal(size=(12, p))])
+    y = np.where(rng.normal(size=162) + X[:, 0] > 0.0, 1, -1)
+    assert_cells_match_oracle(Dataset(X, y), 5, caplog, standardize=False)
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
+        caplog.clear()
+        Neighbours(X, k=5, standardize=False)
+    ((*_, widened, _seconds),) = table_builds(caplog)
+    assert widened >= 12
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cells_extreme_scales_unstandardized(cells, block, caplog, p, scale):
+    rng = np.random.default_rng(p)
+    X = np.vstack([rng.normal(size=(120, p)), rng.integers(0, 3, size=(60, p))]) * scale
+    y = np.where(X.sum(axis=1) >= 0.0, 1, -1)
+    assert_cells_match_oracle(Dataset(X, y), 3, caplog, standardize=False)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 21, 22])
+def test_cells_few_rows(cells, block, caplog, n):
+    rng = np.random.default_rng(n)
+    ds = Dataset(rng.normal(size=(n, 2)), rng.choice([-1, 1], size=n))
+    nb = assert_exact_table(ds.features, 5, caplog)
+    assert nb.table.shape == (n, min(20, n - 1))
+    assert_same_report(noise_filter(ds, k=5), oracle_noise_filter(ds, k=5))
+
+
+def test_cells_noisy_normal_and_shared_table(cells, block, caplog):
+    base = gen_normal(600, seed=4)
+    nb = assert_exact_table(base.features, 5, caplog)
+    for level in (0.1, 0.3):
+        noisy, _ = inject_label_noise(base, level, seed=5)
+        want = oracle_noise_filter(noisy)
+        report = noise_filter(noisy, neighbours=nb)
+        assert_same_report(report, want)
+        ref = oracle_knn_confidence(noisy, want).gamma.tobytes()
+        assert knn_confidence(noisy, report, neighbours=nb).gamma.tobytes() == ref
+
+
+def test_search_path_by_rows_and_features(caplog):
+    assert_exact_table(gen_normal(5000, seed=1).features, 5, caplog, path="cells")
+    assert_exact_table(gen_normal(500, seed=1).features, 5, caplog, path="blocked")
+    rng = np.random.default_rng(0)
+    assert_exact_table(rng.normal(size=(2000, 5)), 5, caplog, path="blocked")
+    # heavy tails crowd most rows into a few cells
+    assert_exact_table(rng.standard_cauchy(size=(2000, 2)), 5, caplog, path="blocked")
+
+
+@pytest.mark.parametrize("X", [
+    np.array([[-1e308, 0.0], [1e308, 1.0]] * 60),  # the span itself overflows
+    np.array([[-1e200, 0.0], [1e200, 1.0]] * 60),  # its square overflows
+], ids=["span", "squared span"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_spans_take_the_blocked_path(cells, caplog, X):
+    X = X + np.arange(120)[:, None]
+    assert_exact_table(X, 5, caplog, standardize=False, path="blocked")
+
+
+def test_table_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
+        Neighbours(gen_normal(40, seed=1).features, k=2)
+    (rec,) = [rec for rec in caplog.records if rec.name == "cbboost.confidence.table"]
+    assert rec.getMessage().startswith(
+        "neighbour table: 40 rows, depth 8, blocked search, 1600 distance pairs, 0 rows widened, "
+    )
