@@ -16,13 +16,15 @@ effective labels are the observed ones, and every quantity reduces term by
 term to the classical single-weight recursion, bitwise.
 
 Training stops early when the vote would be nonpositive (the weak learner no
-longer beats weighted chance) and records a full per-iteration trace for
+longer beats weighted chance) or the weight mass underflows or overflows, and
+records a full per-iteration trace, with the reason it stopped, for
 diagnostics and invariant checks.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ from .util import frozen, sign_pm
 
 __all__ = [
     "BoostConfig",
+    "STOP_REASONS",
     "TraceRow",
     "BoostTrace",
     "Ensemble",
@@ -50,6 +53,12 @@ __all__ = [
     "save_ensemble",
     "load_ensemble",
 ]
+
+log = logging.getLogger(__name__)
+
+# why a run ended: its iteration cap, a vote that no longer beats chance, or
+# a weight mass that underflowed to zero or overflowed
+STOP_REASONS = ("budget", "nonpositive vote", "weight mass not finite or zero")
 
 
 @dataclass(frozen=True)
@@ -122,14 +131,25 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class BoostTrace:
+    """Every round of one training run and the state it ended in.
+
+    stop_reason is one of STOP_REASONS, and stopped_early is true exactly
+    when it is not "budget"; a trace built by hand may leave it None.
+    """
+
     rows: tuple[TraceRow, ...]
     final_w_observed: np.ndarray
     final_w_flipped: np.ndarray
     observed_labels: np.ndarray
     epsilon_clamp: float
     stopped_early: bool
+    stop_reason: str | None = None
 
     def __post_init__(self):
+        if self.stop_reason is not None and (
+            self.stop_reason not in STOP_REASONS or self.stopped_early != (self.stop_reason != "budget")
+        ):
+            raise ValueError(f"stop_reason {self.stop_reason!r} does not fit stopped_early={self.stopped_early}")
         object.__setattr__(self, "final_w_observed", frozen(self.final_w_observed, dtype=np.float64))
         object.__setattr__(self, "final_w_flipped", frozen(self.final_w_flipped, dtype=np.float64))
         object.__setattr__(self, "observed_labels", frozen(self.observed_labels, dtype=np.int64))
@@ -248,14 +268,14 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
     fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
     rows: list[TraceRow] = []
     terms: list[tuple[float, Stump]] = []
-    stopped_early = False
+    stop_reason = "budget"
     for _ in range(cfg.iteration_cap(n)):
         diff = w_obs - w_flip
         absdiff = np.abs(diff)
         # ndarray.sum is np.sum without its dispatch cost, same reduction and bits
         S = float(absdiff.sum())
         if not math.isfinite(S) or S <= 0.0:
-            stopped_early = True
+            stop_reason = "weight mass not finite or zero"
             break
         D = absdiff / S
         yprime = np.where(diff >= 0.0, y, -y)
@@ -273,7 +293,7 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
             float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), cfg.epsilon_clamp
         )
         if beta <= 0.0:
-            stopped_early = True
+            stop_reason = "nonpositive vote"
             break
         # -(a * h) == (-a) * h exactly, so one product serves both factors
         margin = (y * beta) * h
@@ -299,7 +319,12 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
         final_w_flipped=w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
-        stopped_early=stopped_early,
+        stopped_early=stop_reason != "budget",
+        stop_reason=stop_reason,
+    )
+    log.debug(
+        "boost: %d rounds, stop reason %s, final risk_after %.17g",
+        len(rows), stop_reason, float((w_obs + w_flip).sum()),
     )
     return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace
 

@@ -5,10 +5,11 @@ are the midpoints between consecutive distinct sorted values plus a -inf
 sentinel (constant prediction); comparisons are strict `>`. A presort
 (Presorted), built once per matrix, holds each column's stable sort order,
 thresholds and their split positions; a boosting run fits every round from
-one. Each fit gathers the weights in sorted order, a vectorized
-cumulative-sum sweep brackets the optimum, then every candidate within a
-small slack of that bracket is re-scored with a correctly rounded masked
-sum so equal-error candidates genuinely tie. Ties are broken
+one. Each fit runs one signed cumulative-sum sweep per feature, which scores
+both polarities of every candidate to within a rounding drift and brackets
+the optimum. A (candidate, polarity) pair alone in the bracket is the exact
+optimum; near-ties, and only they, are re-scored with a correctly rounded
+sum (math.fsum) so equal-error candidates genuinely tie. Ties are broken
 deterministically: lowest error, then lowest feature index, then lowest
 threshold, then polarity +1 before -1.
 """
@@ -94,8 +95,8 @@ def train_stump(features, labels, weights) -> Stump:
     """Exact weighted-error minimizer over all stump hypotheses.
 
     features is a matrix or its Presorted form; a matrix is presorted on
-    entry. weights must be nonnegative with positive total; any common
-    rescaling of the weights leaves the result unchanged.
+    entry. weights must be nonnegative with a finite positive total; any
+    common rescaling of the weights leaves the result unchanged.
     """
     ps = features if isinstance(features, Presorted) else Presorted(features)
     y = np.asarray(labels, dtype=np.int64)
@@ -109,45 +110,42 @@ def train_stump(features, labels, weights) -> Stump:
         raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"total weight must be finite and positive, got {total}")
 
-    # Pass 1: cumulative-sum sweep per feature to bracket the minimum error.
-    # Cumulative sums can drift by ~n*eps*total from direct summation, so the
-    # bracket carries that much slack before the exact pass decides.
+    # One signed sweep per feature: cs[i] is the positive minus the negative
+    # weight at or below thr[i], so predicting +1 strictly above thr[i] errs
+    # by neg_total + cs[i] and predicting -1 by pos_total - cs[i]. The cumsum,
+    # the class totals and one add leave each entry within ~2 * n * eps *
+    # total of its exact error; the slack exceeds twice that, so every exact
+    # minimum lies within the cut, and a pair alone there beats every other
+    # pair exactly.
     slack = 16.0 * np.finfo(np.float64).eps * (n + 4) * total
-    wp = w * (y > 0)
-    wn = w * (y < 0)
-    per_feature = []
-    approx_min = np.inf
-    for col, order, thr, k in ps.columns:
-        cp = np.concatenate(([0.0], np.cumsum(wp[order])))
-        cn = np.concatenate(([0.0], np.cumsum(wn[order])))
-        # predicting +1 strictly above thr misclassifies positives at or below
-        # it and negatives above it
-        err_pos = cp[k] + (cn[-1] - cn[k])
-        err_neg = (cp[-1] - cp[k]) + cn[k]
-        per_feature.append((err_pos, err_neg))
-        approx_min = min(approx_min, float(err_pos.min()), float(err_neg.min()))
-
-    # Pass 2: exact re-scoring of every bracketed candidate, visited in
-    # tie-rule order so the first strict improvement wins. Polarity +1 is
-    # wrong exactly where (x > t) disagrees with (y > 0), and -1 on the rest.
-    # fsum rounds the true sum correctly, so equal-error candidates compare
-    # equal and the visit order becomes the real tie rule.
-    best_err = np.inf
-    best = None
     pos = y > 0
-    for j, (col, _, thr, _) in enumerate(ps.columns):
-        err_pos, err_neg = per_feature[j]
-        near = np.flatnonzero(np.minimum(err_pos, err_neg) <= approx_min + slack)
-        for i in near:
-            t = float(thr[i])
-            wrong = (col > t) != pos
-            for pol, e in ((1, math.fsum(w[wrong])), (-1, math.fsum(w[~wrong]))):
-                if e < best_err:
-                    best_err = e
-                    best = (j, t, pol)
-    assert best is not None
-    return Stump(feature=best[0], threshold=best[1], polarity=best[2])
+    sw = w * y
+    pos_total = float(w @ pos)
+    neg_total = total - pos_total
+    sweeps = []
+    for _, order, _, k in ps.columns:
+        cs = np.concatenate(([0.0], np.cumsum(sw[order])))[k]
+        # rounding is monotone, so these are the minima of the two error arrays
+        sweeps.append((cs, min(neg_total + float(cs.min()), pos_total - float(cs.max()))))
+    cut = min(low for _, low in sweeps) + slack
+
+    # The bracketed pairs in tie-rule order: feature, threshold, +1 before -1.
+    near = []
+    for j, (cs, low) in enumerate(sweeps):
+        if low <= cut:
+            err = np.column_stack((neg_total + cs, pos_total - cs))
+            near += [(j, f // 2, (1, -1)[f % 2]) for f in np.flatnonzero(err <= cut)]
+    # Near-ties are re-scored exactly: polarity pol is wrong where (x > t)
+    # disagrees with (y * pol > 0). fsum rounds the true sum correctly, so
+    # equal-error pairs compare equal and the first in visit order wins.
+    best = near[0]
+    if len(near) > 1:
+        errs = [math.fsum(w[(ps.columns[j][0] > ps.columns[j][2][i]) != (y * pol > 0)]) for j, i, pol in near]
+        best = near[errs.index(min(errs))]
+    j, i, pol = best
+    return Stump(feature=j, threshold=float(ps.columns[j][2][i]), polarity=pol)

@@ -7,6 +7,8 @@ update. train_adaboost now runs the confidence-weighted engine with every
 gamma at 1 and must reproduce the oracle's ensembles and traces bit for bit.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,42 @@ def test_immediate_abort():
     got = train_adaboost(ds)
     assert got[0].stopped_at == 0 and got[1].stopped_early
     assert_identical(got, oracle_train_adaboost(ds))
+
+
+@pytest.mark.parametrize(
+    "ds, rounds, reason",
+    [
+        # the separable set above: 54 rounds, then the weights underflow
+        (
+            Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1, -1, 1, 1])),
+            54,
+            "weight mass not finite or zero",
+        ),
+        # the immediate-abort pair: no stump beats chance
+        (Dataset(np.array([[0.0], [0.0]]), np.array([1, -1])), 0, "nonpositive vote"),
+        (noisy_problem(0, 200), 200, "budget"),
+    ],
+)
+def test_stop_reason_and_debug_line(ds, rounds, reason, caplog):
+    with caplog.at_level(logging.DEBUG, logger="cbboost.boost"):
+        ens, trace = train_adaboost(ds, BoostConfig(max_iterations=200))
+    assert (ens.stopped_at, trace.stop_reason) == (rounds, reason)
+    assert trace.stopped_early == (reason != "budget")
+    ((got_rounds, got_reason, risk),) = [rec.args for rec in caplog.records if rec.name == "cbboost.boost"]
+    assert (got_rounds, got_reason) == (rounds, reason)
+    if rounds:
+        assert same_bits(risk, trace.rows[-1].risk_after)
+
+
+def test_stop_reason_must_fit_stopped_early():
+    fields = dict(
+        rows=(),
+        final_w_observed=np.ones(2),
+        final_w_flipped=np.zeros(2),
+        observed_labels=np.array([1, -1]),
+        epsilon_clamp=1e-12,
+    )
+    assert BoostTrace(**fields, stopped_early=True, stop_reason="nonpositive vote").stopped_early
+    for early, reason in ((True, "budget"), (False, "nonpositive vote"), (True, "tired")):
+        with pytest.raises(ValueError, match="stop_reason"):
+            BoostTrace(**fields, stopped_early=early, stop_reason=reason)

@@ -9,6 +9,7 @@ threshold, polarity) bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,94 @@ def test_presorted_fit_checks_labels_and_weights():
         train_stump(ps, [1, -1], [1.0, -1.0])
     with pytest.raises(ValueError, match="features must be finite"):
         Presorted(np.array([[np.nan], [0.0]]))
+
+
+@pytest.mark.parametrize("presort", [False, True])
+def test_overflowing_weight_total_is_rejected(presort):
+    X = np.arange(10.0)[:, None]
+    features = Presorted(X) if presort else X
+    y = np.where(X[:, 0] > 4, 1, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^total weight must be finite and positive, got inf$"):
+            train_stump(features, y, np.full(10, 1e308))
+
+
+@pytest.fixture()
+def fsum_calls(monkeypatch):
+    """Lengths of the math.fsum calls made since the last clear()."""
+    calls = []
+    fsum = math.fsum
+
+    def counting(values):
+        calls.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
+def fit_counted(X, y, w, fsum_calls):
+    want = bits(oracle_train_stump(X, y, w))
+    fsum_calls.clear()
+    got = bits(train_stump(X, y, w))
+    assert got == want
+    return len(fsum_calls)
+
+
+def test_lone_bracketed_pair_skips_the_exact_pass(fsum_calls):
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n, p = int(rng.integers(20, 400)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, p))
+        y = np.where(X[:, 0] + rng.normal(size=n) > 0, 1, -1)
+        assert fit_counted(X, y, rng.random(n), fsum_calls) == 0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_integer_grid_ties_reach_the_exact_pass(p, fsum_calls):
+    # a duplicated column makes every optimum tie across two features
+    rng = np.random.default_rng(30 + p)
+    for trial in range(10):
+        base = rng.integers(-2, 3, size=(int(rng.integers(5, 80)), p)).astype(np.float64)
+        X = np.hstack([base, base])
+        y = rng.choice([-1, 1], size=X.shape[0])
+        assert fit_counted(X, y, np.full(X.shape[0], 0.1), fsum_calls) >= 2
+
+
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+def test_errors_a_few_ulps_apart_resolve_exactly(ulps, fsum_calls):
+    # splitting at 1.5 misclassifies only row 4 on feature 0 and only row 5
+    # on feature 1; their weights differ by a few ulps, far inside the slack
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.5, 2.5], [2.5, 0.5]])
+    y = np.array([-1, -1, 1, 1, 1, 1])
+    w = np.array([0.3, 0.3, 0.3, 0.3, 0.1 + ulps * math.ulp(0.1), 0.1])
+    assert fit_counted(X, y, w, fsum_calls) == 2
+    assert bits(train_stump(X, y, w)) == (int(ulps > 0), (1.5).hex(), 1)
+
+
+def test_random_fits_match_the_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(1200):
+        n, p = int(rng.integers(1, 120)), int(rng.integers(1, 5))
+        X = [
+            rng.integers(-2, 3, size=(n, p)).astype(np.float64),
+            np.round(rng.normal(size=(n, p)), 1),
+            rng.normal(size=(n, p)),
+        ][trial % 3]
+        y, w = labels_and_weights(rng, n, zero_share=0.3 * (trial % 2))
+        if trial % 4 == 0:
+            # uniform weights make exact ties that the sweep's rounding can split
+            w = np.where(w > 0.0, 1.0 / n, 0.0)
+        if trial % 7 == 3:
+            # every row again with the other label: each pair errs by half the
+            # weight, so both polarities tie everywhere
+            X, y, w = np.vstack([X, X]), np.concatenate([y, -y]), np.concatenate([w, w])
+        scale = (1.0, 1e-200, 1e200, 1e-200, 1e200, 1.0)[trial % 6]
+        assert_same(X, y, w * scale)
+        if trial % 10 == 0:
+            # multiples of the smallest subnormal: the slack rounds to zero
+            assert_same(X, y, np.maximum(np.round(w * 4), (w > 0) * 1.0) * 5e-324)
 
 
 class TestOneSortPerRun:
