@@ -16,9 +16,11 @@ effective labels are the observed ones, and every quantity reduces term by
 term to the classical single-weight recursion, bitwise.
 
 Training stops early when the vote would be nonpositive (the weak learner no
-longer beats weighted chance) or the weight mass underflows or overflows, and
-records a full per-iteration trace, with the reason it stopped, for
-diagnostics and invariant checks.
+longer beats weighted chance) or the weight mass underflows or overflows. A
+round keeps only the two weight vectors and its (beta, stump) term; the
+returned trace records why the run stopped and rebuilds the full
+per-iteration record on demand, by exact replay, for diagnostics and
+invariant checks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +113,9 @@ class TraceRow:
     normalized distribution handed to the weak learner) and effective_labels.
     predictions are the fitted stump's outputs on the training rows;
     risk_after is the total weight mass after the round's update, which is
-    n times the ensemble's mean two-sided exponential loss so far. For the
-    plain trainer w_flipped is identically zero.
+    the ensemble's mean two-sided exponential loss so far (the weights start
+    at gamma / n and (1 - gamma) / n). For the plain trainer w_flipped is
+    identically zero.
     """
 
     w_observed: np.ndarray
@@ -133,11 +138,16 @@ class TraceRow:
 class BoostTrace:
     """Every round of one training run and the state it ended in.
 
+    A trainer's trace rebuilds its rows on first access, by replaying the
+    run's rounds bit for bit from its features, labels, gamma and terms, so
+    training itself holds O(n) memory; len(rows) needs no replay. A trace
+    built by hand takes its rows as given.
+
     stop_reason is one of STOP_REASONS, and stopped_early is true exactly
     when it is not "budget"; a trace built by hand may leave it None.
     """
 
-    rows: tuple[TraceRow, ...]
+    rows: Sequence[TraceRow]
     final_w_observed: np.ndarray
     final_w_flipped: np.ndarray
     observed_labels: np.ndarray
@@ -157,6 +167,11 @@ class BoostTrace:
     @property
     def iterations(self) -> int:
         return len(self.rows)
+
+    @property
+    def final_risk(self) -> float:
+        """Total weight mass at the end: the ensemble's mean two-sided exponential loss."""
+        return float((self.final_w_observed + self.final_w_flipped).sum())
 
 
 @dataclass(frozen=True)
@@ -253,80 +268,147 @@ def _check_trainable(ds: Dataset):
         raise ValueError("training data contains a single class")
 
 
+# The per-round float operations, shared by the engine and the trace replay.
+# w_flip is None when every gamma is 1: it would start as exact zeros and stay
+# so (the clamped vote keeps exp(margin) finite, and 0 * finite is 0). Then
+# w_obs - 0 is w_obs bit for bit and never negative, and every sum over w_flip
+# is +0.0, so the round skips them without changing a bit.
+
+
+def _gap(w_obs, w_flip, y):
+    # |w_obs - w_flip| and the effective labels sign(w_obs - w_flip) * y
+    if w_flip is None:
+        return w_obs, y
+    diff = w_obs - w_flip
+    return np.abs(diff), np.where(diff >= 0.0, y, -y)
+
+
+def _hits(X, y_pos, stump: Stump) -> np.ndarray:
+    # where the stump's prediction matches the observed label
+    above = X[:, stump.feature] > stump.threshold
+    return above == y_pos if stump.polarity == 1 else above != y_pos
+
+
+def _update(w_obs, w_flip, hit, beta):
+    # margin = (y * beta) * h is exactly +beta on hits and -beta on misses
+    margin = np.where(hit, beta, -beta)
+    w_obs = w_obs * np.exp(-margin)
+    return w_obs, None if w_flip is None else w_flip * np.exp(margin)
+
+
+def _start(g, n):
+    # the weights a run starts from: gamma / n and (1 - gamma) / n
+    w_flip = (1.0 - g) / n
+    return g / n, w_flip if w_flip.any() else None
+
+
 def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
     # the one boosting loop; plain AdaBoost is the call with g identically 1,
     # where w_flip stays 0, every extra term adds exact zeros and the result
-    # equals the classical single-weight recursion bit for bit
+    # equals the classical single-weight recursion bit for bit. A round keeps
+    # only what the next one reads; the trace rebuilds the rest on demand.
     X = train.features
     y = train.labels
     n = train.n
-    w_obs = g / n
-    w_flip = (1.0 - g) / n
-    if float(np.abs(w_obs - w_flip).sum()) <= 0.0:
+    y_pos = y > 0
+    w_obs, w_flip = _start(g, n)
+    absdiff, _ = _gap(w_obs, w_flip, y)
+    if float(absdiff.sum()) <= 0.0:
         raise ValueError("every gamma equals 0.5: no informative instance to boost on")
     rng = np.random.default_rng(cfg.seed)
     fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
-    rows: list[TraceRow] = []
     terms: list[tuple[float, Stump]] = []
     stop_reason = "budget"
     for _ in range(cfg.iteration_cap(n)):
-        diff = w_obs - w_flip
-        absdiff = np.abs(diff)
+        absdiff, yprime = _gap(w_obs, w_flip, y)
         # ndarray.sum is np.sum without its dispatch cost, same reduction and bits
         S = float(absdiff.sum())
         if not math.isfinite(S) or S <= 0.0:
             stop_reason = "weight mass not finite or zero"
             break
-        D = absdiff / S
-        yprime = np.where(diff >= 0.0, y, -y)
-        stump = _fit_weak(fit_X, yprime, D, cfg, rng)
-        h = stump.predict(X)
-        wrong = h != y
-        right = ~wrong
-        right_mass = float(w_obs[right].sum()) + float(w_flip[wrong].sum())
-        wrong_mass = float(w_obs[wrong].sum()) + float(w_flip[right].sum())
+        stump = _fit_weak(fit_X, yprime, absdiff / S, cfg, rng)
+        hit = _hits(X, y_pos, stump)
+        miss = ~hit
+        # compress gathers what boolean indexing would, a little faster
+        right_mass = float(w_obs.compress(hit).sum())
+        wrong_mass = float(w_obs.compress(miss).sum())
+        if w_flip is not None:
+            right_mass += float(w_flip.compress(miss).sum())
+            wrong_mass += float(w_flip.compress(hit).sum())
         beta, _ = _vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
-        # the stump's own error is measured against the effective labels it
-        # was trained on
-        wrong_eff = h != yprime
-        _, raw_err = _vote_from_sums(
-            float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), cfg.epsilon_clamp
-        )
         if beta <= 0.0:
             stop_reason = "nonpositive vote"
             break
-        # -(a * h) == (-a) * h exactly, so one product serves both factors
-        margin = (y * beta) * h
-        w_obs_new = w_obs * np.exp(-margin)
-        w_flip_new = w_flip * np.exp(margin)
-        rows.append(
-            TraceRow(
-                w_observed=w_obs,
-                w_flipped=w_flip,
-                sample_weights=D,
-                effective_labels=yprime,
-                predictions=h,
-                beta=beta,
-                weighted_error=raw_err,
-                risk_after=float((w_obs_new + w_flip_new).sum()),
-            )
-        )
         terms.append((beta, stump))
-        w_obs, w_flip = w_obs_new, w_flip_new
+        w_obs, w_flip = _update(w_obs, w_flip, hit, beta)
+    ensemble = Ensemble(terms=tuple(terms), stopped_at=len(terms))
     trace = BoostTrace(
-        rows=tuple(rows),
+        rows=_Replay(X, y, g, ensemble.terms, cfg.epsilon_clamp),
         final_w_observed=w_obs,
-        final_w_flipped=w_flip,
+        final_w_flipped=np.zeros(n) if w_flip is None else w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stopped_early=stop_reason != "budget",
         stop_reason=stop_reason,
     )
     log.debug(
-        "boost: %d rounds, stop reason %s, final risk_after %.17g",
-        len(rows), stop_reason, float((w_obs + w_flip).sum()),
+        "boost: %d rounds, stop reason %s, final risk_after %.17g", len(terms), stop_reason, trace.final_risk
     )
-    return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace
+    return ensemble, trace
+
+
+class _Replay(Sequence):
+    """A run's TraceRows, rebuilt on first access and then kept.
+
+    It holds only the run's read-only features, labels and initial gamma,
+    its terms and the clamp, and reruns the engine's per-round operations
+    in the engine's order, so every field comes out bit for bit as the
+    engine had it. Its length is known without replaying.
+    """
+
+    def __init__(self, X, y, g, terms, epsilon_clamp):
+        self._args = (X, y, g, terms, epsilon_clamp)
+
+    def __len__(self) -> int:
+        return len(self._args[3])
+
+    @cached_property
+    def _rows(self) -> tuple[TraceRow, ...]:
+        return tuple(_replay(*self._args))
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+
+def _replay(X, y, g, terms, clamp):
+    y_pos = y > 0
+    n = y.size
+    w_obs, w_flip = _start(g, n)
+    zeros = np.zeros(n)
+    for beta, stump in terms:
+        absdiff, yprime = _gap(w_obs, w_flip, y)
+        S = float(absdiff.sum())
+        h = stump.predict(X)
+        # the stump's own error is measured against the effective labels it
+        # was trained on
+        wrong_eff = h != yprime
+        _, raw_err = _vote_from_sums(float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), clamp)
+        w_obs_new, w_flip_new = _update(w_obs, w_flip, _hits(X, y_pos, stump), beta)
+        flip, flip_new = (zeros, zeros) if w_flip is None else (w_flip, w_flip_new)
+        yield TraceRow(
+            w_observed=w_obs,
+            w_flipped=flip,
+            sample_weights=absdiff / S,
+            effective_labels=yprime,
+            predictions=h,
+            beta=beta,
+            weighted_error=raw_err,
+            risk_after=float((w_obs_new + flip_new).sum()),
+        )
+        w_obs, w_flip = w_obs_new, w_flip_new
 
 
 def train_adaboost(train: Dataset, cfg: BoostConfig = BoostConfig()) -> tuple[Ensemble, BoostTrace]:

@@ -3,7 +3,8 @@
 Every subcommand writes its primary output plus a RunManifest JSON sitting
 next to it at <output>.manifest.json, recording the tool version, the fully
 resolved configuration, all seeds, SHA-256 digests of the inputs, the output
-list and wall-clock timings. JSON outputs embed the manifest filename; CSV
+list and wall-clock timings; train's also records why the run stopped, its
+rounds and its final two-sided risk. JSON outputs embed the manifest filename; CSV
 outputs carry no comment rows (their schemas are strict), so their link to
 the manifest is the filename convention itself.
 
@@ -60,7 +61,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, seeds: dict, inputs, outputs, t0: float) -> str:
+def _write_manifest(primary_out, command: str, config: dict, seeds: dict, inputs, outputs, t0: float,
+                    result: dict | None = None) -> str:
     path = f"{primary_out}.manifest.json"
     manifest = {
         "tool": "cbboost",
@@ -72,6 +74,8 @@ def _write_manifest(primary_out, command: str, config: dict, seeds: dict, inputs
         "outputs": [str(p) for p in outputs],
         "elapsed_seconds": round(time.monotonic() - t0, 6),
     }
+    if result is not None:
+        manifest["result"] = result
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -208,7 +212,7 @@ def cmd_train(args) -> int:
             raise ValueError(f"--algo {args.algo} requires --gamma")
         gamma = read_gamma_csv(args.gamma)
         inputs.append(args.gamma)
-    ensemble = fit_method(args.algo, args.threshold, ds, gamma, cfg)
+    ensemble, stop_reason, final_risk = fit_method(args.algo, args.threshold, ds, gamma, cfg)
     config = {
         "algo": args.algo,
         "iterations": args.iterations,
@@ -220,7 +224,8 @@ def cmd_train(args) -> int:
         "manifest": f"{args.out}.manifest.json",
     }
     save_ensemble(ensemble, args.out, config)
-    _write_manifest(args.out, "train", config, {"seed": args.seed}, inputs, [args.out], t0)
+    result = {"stop_reason": stop_reason, "rounds": len(ensemble), "final_risk": final_risk}
+    _write_manifest(args.out, "train", config, {"seed": args.seed}, inputs, [args.out], t0, result)
     print(f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})")
     return 0
 

@@ -43,6 +43,7 @@ __all__ = [
     "run_disc",
     "run_corr",
     "METHODS",
+    "Fit",
     "fit_method",
     "run_experiment",
     "weight_trace_groups",
@@ -198,8 +199,16 @@ def run_corr(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: Boo
     return train_adaboost(Dataset(train.features, labels), cfg)
 
 
+class Fit(NamedTuple):
+    """A trained model with why its run stopped and its final two-sided risk."""
+
+    ensemble: Ensemble
+    stop_reason: str
+    final_risk: float
+
+
 def fit_method(name: str, thr: float | None, train: Dataset, gamma: ConfidenceVector | None,
-               cfg: BoostConfig) -> Ensemble:
+               cfg: BoostConfig) -> Fit:
     """Train method `name` of METHODS; the grid and the CLI both train here.
 
     The trainers are read from this module's globals at call time, so a
@@ -208,14 +217,14 @@ def fit_method(name: str, thr: float | None, train: Dataset, gamma: ConfidenceVe
     if name == "stump":
         cfg = replace(cfg, max_iterations=1)
     if not METHODS[name].needs_gamma:
-        ens, _ = train_adaboost(train, cfg)
+        ens, trace = train_adaboost(train, cfg)
     elif name == "cb":
-        ens, _ = train_cb_adaboost(train, gamma, cfg)
+        ens, trace = train_cb_adaboost(train, gamma, cfg)
     elif name == "disc":
-        ens, _ = run_disc(train, gamma, thr, cfg)
+        ens, trace = run_disc(train, gamma, thr, cfg)
     else:
-        ens, _ = run_corr(train, gamma, thr, cfg)
-    return ens
+        ens, trace = run_corr(train, gamma, thr, cfg)
+    return Fit(ens, trace.stop_reason, trace.final_risk)
 
 
 def _needs_gamma(methods) -> bool:
@@ -257,7 +266,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
                 continue
             bcfg = replace(cfg.boost, seed=derive_seed(cfg.base_seed, rep, f"boost@{mspec}@{level!r}"))
             try:
-                ens = fit_method(name, thr, noisy, gamma, bcfg)
+                ens = fit_method(name, thr, noisy, gamma, bcfg).ensemble
                 out[(mspec, level)] = (test_error(ens, test), len(ens), None)
             except ValueError as exc:
                 out[(mspec, level)] = (None, None, f"{name} failed: {exc}")

@@ -91,6 +91,17 @@ class Presorted:
         self.columns = tuple(columns)
 
 
+def _reject(y, w, total):
+    # the detailed checks, in order, for inputs the one-pass check refused
+    if not np.all((y == 1) | (y == -1)):
+        raise ValueError("labels must be -1 or +1")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    raise ValueError(f"total weight must be finite and positive, got {total}")
+
+
 def train_stump(features, labels, weights) -> Stump:
     """Exact weighted-error minimizer over all stump hypotheses.
 
@@ -104,16 +115,12 @@ def train_stump(features, labels, weights) -> Stump:
     n = ps.n
     if y.shape != (n,) or w.shape != (n,):
         raise ValueError(f"labels {y.shape} / weights {w.shape} do not match {n} rows")
-    if not np.all((y == 1) | (y == -1)):
-        raise ValueError("labels must be -1 or +1")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
     with np.errstate(over="ignore"):
         total = float(w.sum())
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(f"total weight must be finite and positive, got {total}")
+    # a finite total over a nonnegative minimum also rules out inf and nan
+    # weights; only inputs that fail this pass are checked one by one
+    if not (math.isfinite(total) and total > 0.0 and w.min() >= 0.0 and (np.abs(y) == 1).all()):
+        _reject(y, w, total)
 
     # One signed sweep per feature: cs[i] is the positive minus the negative
     # weight at or below thr[i], so predicting +1 strictly above thr[i] errs

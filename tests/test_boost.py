@@ -6,10 +6,12 @@ the implementation, and frozen here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cbboost import boost
 from cbboost.boost import (
     BoostConfig,
     BoostTrace,
@@ -26,7 +28,7 @@ from cbboost.boost import (
     train_adaboost,
     train_cb_adaboost,
 )
-from cbboost.confidence import ConfidenceVector
+from cbboost.confidence import ConfidenceVector, estimate_confidence
 from cbboost.dataset import Dataset, inject_label_noise
 from cbboost.stump import Stump
 from cbboost.synth import gen_normal
@@ -321,6 +323,43 @@ class TestInvariantsOnRandomTraces:
             ds, ConfidenceVector(np.ones(ds.n)), BoostConfig(max_iterations=20)
         )
         assert check_propositions(trace).ok
+
+
+class TestEngineBudget:
+    """Training holds O(n) memory and fits exactly one stump per weighted round."""
+
+    def test_train_memory_with_rows_unread(self):
+        noisy, _ = inject_label_noise(gen_normal(5000, 3), 0.2, 4)
+        gamma, _ = estimate_confidence(noisy)
+        tracemalloc.start()
+        try:
+            _, trace = train_cb_adaboost(noisy, gamma, BoostConfig(max_iterations=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == 200
+        assert peak < 2_000_000, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize(
+        "ds, g, fits",
+        [
+            (random_problem(0, n=200), np.ones(200), 200),
+            # 195 terms, then a 196th fit whose vote is nonpositive
+            (four_points(), np.array([0.9, 0.8, 0.7, 0.6]), 196),
+        ],
+    )
+    def test_one_stump_fit_per_round(self, monkeypatch, ds, g, fits):
+        # perfbench's stump.* metrics time every call made through boost.train_stump
+        calls = []
+        fit = boost.train_stump
+
+        def counted(*args):
+            calls.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(boost, "train_stump", counted)
+        train_cb_adaboost(ds, ConfidenceVector(g), BoostConfig(max_iterations=200))
+        assert len(calls) == fits
 
 
 class TestPropositionChecker:

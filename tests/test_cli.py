@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import cbboost
-from cbboost.boost import BoostConfig, load_ensemble
+from cbboost.boost import BoostConfig, ensemble_to_json, load_ensemble, train_adaboost, train_cb_adaboost
 from cbboost.cli import main
 from cbboost.confidence import read_gamma_csv
-from cbboost.dataset import load_csv
+from cbboost.dataset import Dataset, load_csv, save_csv
 from cbboost.harness import METHODS, fit_method
 
 
@@ -132,11 +132,42 @@ def test_train_matches_library_dispatch(pipeline, capsys, algo):
         read_gamma_csv(pipeline / "gamma.csv"),
         BoostConfig(max_iterations=8, learner_mode="resample", seed=5),
     )
-    assert ens.terms == want.terms and ens.stopped_at == want.stopped_at
+    assert ens.terms == want.ensemble.terms and ens.stopped_at == want.ensemble.stopped_at
     assert len(ens) == (1 if algo == "stump" else 8)
 
 
 class TestManifest:
+    @pytest.mark.parametrize(
+        "algo, rows, labels, reason, rounds",
+        [
+            # separable: the same perfect stump every round until the weights underflow
+            ("adaboost", [[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1], "weight mass not finite or zero", 54),
+            ("cb", None, None, "budget", 8),
+        ],
+    )
+    def test_train_records_stop(self, pipeline, capsys, algo, rows, labels, reason, rounds):
+        data = pipeline / "noisy.csv"
+        if rows is not None:
+            data = pipeline / "separable.csv"
+            save_csv(Dataset(np.array(rows), np.array(labels)), data)
+        model = pipeline / "stop.json"
+        run_ok(capsys, "train", "--in", str(data), "--out", str(model), "--algo", algo,
+               "--gamma", str(pipeline / "gamma.csv"), "--iterations", "200" if rows else "8")
+        ens, config = load_ensemble(model)
+        # the run's facts go to the manifest only; model.json keeps its bytes
+        assert model.read_text() == ensemble_to_json(ens, config) + "\n"
+        assert sorted(config) == ["algo", "iterations", "label_column", "manifest", "mode",
+                                  "positive_label", "stop", "threshold"]
+        ds = load_csv(data)
+        cfg = BoostConfig(max_iterations=int(config["iterations"]))
+        if algo == "cb":
+            _, trace = train_cb_adaboost(ds, read_gamma_csv(pipeline / "gamma.csv"), cfg)
+        else:
+            _, trace = train_adaboost(ds, cfg)
+        result = json.loads((pipeline / "stop.json.manifest.json").read_text())["result"]
+        assert result == {"stop_reason": reason, "rounds": rounds, "final_risk": trace.final_risk}
+        assert (trace.stop_reason, trace.iterations) == (reason, rounds)
+
     def test_contents(self, pipeline):
         manifest = json.loads((pipeline / "gamma.csv.manifest.json").read_text())
         assert manifest["tool"] == "cbboost"
