@@ -1,14 +1,14 @@
 """Exponential-loss boosting over decision stumps, confidence-weighted.
 
-One engine serves both trainers. It keeps two weights per instance, one
-behind each reading of its label: w_observed tracks "the recorded label is
-right" and w_flipped "it is wrong", initialized from a per-label confidence
-gamma as gamma / n and (1 - gamma) / n. Each round trains the stump on
-effective labels sign(w_observed - w_flipped) * y with sampling weights
-proportional to the gap between the two readings, votes by the log-odds of a
-correctness mass crediting w_observed where the stump matches the observed
-label and w_flipped where it disagrees, then scales w_observed by
-exp(-y * beta * h) and w_flipped by the reciprocal factor.
+One loop serves both trainers and the trace replay. It keeps two weights per
+instance, one behind each reading of its label: w_observed tracks "the
+recorded label is right" and w_flipped "it is wrong", initialized from a
+per-label confidence gamma as gamma / n and (1 - gamma) / n. Each round
+trains the stump on effective labels sign(w_observed - w_flipped) * y with
+sampling weights proportional to the gap between the two readings, votes by
+the log-odds of a correctness mass crediting w_observed where the stump
+matches the observed label and w_flipped where it disagrees, then scales
+w_observed by exp(-y * beta * h) and w_flipped by the reciprocal factor.
 
 train_cb_adaboost runs the engine on a given gamma. train_adaboost is plain
 AdaBoost, the engine with gamma identically 1: w_flipped stays 0, the
@@ -19,8 +19,9 @@ Training stops early when the vote would be nonpositive (the weak learner no
 longer beats weighted chance) or the weight mass underflows or overflows. A
 round keeps only the two weight vectors and its (beta, stump) term; the
 returned trace records why the run stopped and rebuilds the full
-per-iteration record on demand, by exact replay, for diagnostics and
-invariant checks.
+per-iteration record on demand, for diagnostics and invariant checks, by
+rerunning the same loop with the recorded stumps in place of the weak
+learner.
 """
 
 from __future__ import annotations
@@ -268,66 +269,36 @@ def _check_trainable(ds: Dataset):
         raise ValueError("training data contains a single class")
 
 
-# The per-round float operations, shared by the engine and the trace replay.
-# w_flip is None when every gamma is 1: it would start as exact zeros and stay
-# so (the clamped vote keeps exp(margin) finite, and 0 * finite is 0). Then
-# w_obs - 0 is w_obs bit for bit and never negative, and every sum over w_flip
-# is +0.0, so the round skips them without changing a bit.
-
-
-def _gap(w_obs, w_flip, y):
-    # |w_obs - w_flip| and the effective labels sign(w_obs - w_flip) * y
-    if w_flip is None:
-        return w_obs, y
-    diff = w_obs - w_flip
-    return np.abs(diff), np.where(diff >= 0.0, y, -y)
-
-
-def _hits(X, y_pos, stump: Stump) -> np.ndarray:
-    # where the stump's prediction matches the observed label
-    above = X[:, stump.feature] > stump.threshold
-    return above == y_pos if stump.polarity == 1 else above != y_pos
-
-
-def _update(w_obs, w_flip, hit, beta):
-    # margin = (y * beta) * h is exactly +beta on hits and -beta on misses
-    margin = np.where(hit, beta, -beta)
-    w_obs = w_obs * np.exp(-margin)
-    return w_obs, None if w_flip is None else w_flip * np.exp(margin)
-
-
-def _start(g, n):
-    # the weights a run starts from: gamma / n and (1 - gamma) / n
-    w_flip = (1.0 - g) / n
-    return g / n, w_flip if w_flip.any() else None
-
-
-def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
-    # the one boosting loop; plain AdaBoost is the call with g identically 1,
-    # where w_flip stays 0, every extra term adds exact zeros and the result
-    # equals the classical single-weight recursion bit for bit. A round keeps
-    # only what the next one reads; the trace rebuilds the rest on demand.
-    X = train.features
-    y = train.labels
-    n = train.n
+def _rounds(X, y, g, fit, cap: int, clamp: float, observe=None):
+    # the one boosting loop, run by training and by the trace replay alike.
+    # fit(D, yprime) supplies each round's stump; observe, when given, sees
+    # every kept round's weights before and after its update. Returns the
+    # kept (beta, stump) terms, the stop reason and the final weights.
+    # w_flip is None when every gamma is 1: it would start as exact zeros and
+    # stay so (the clamped vote keeps exp(margin) finite). Then w_obs - 0 is
+    # w_obs bit for bit and every sum over w_flip is +0.0, so the round skips
+    # them and plain AdaBoost is the classical single-weight recursion, bitwise.
     y_pos = y > 0
-    w_obs, w_flip = _start(g, n)
-    absdiff, _ = _gap(w_obs, w_flip, y)
-    if float(absdiff.sum()) <= 0.0:
-        raise ValueError("every gamma equals 0.5: no informative instance to boost on")
-    rng = np.random.default_rng(cfg.seed)
-    fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
+    w_obs, w_flip = g / y.size, (1.0 - g) / y.size
+    w_flip = w_flip if w_flip.any() else None
     terms: list[tuple[float, Stump]] = []
-    stop_reason = "budget"
-    for _ in range(cfg.iteration_cap(n)):
-        absdiff, yprime = _gap(w_obs, w_flip, y)
+    for m in range(cap):
+        if w_flip is None:
+            absdiff, yprime = w_obs, y
+        else:
+            diff = w_obs - w_flip
+            absdiff, yprime = np.abs(diff), np.where(diff >= 0.0, y, -y)
         # ndarray.sum is np.sum without its dispatch cost, same reduction and bits
         S = float(absdiff.sum())
         if not math.isfinite(S) or S <= 0.0:
-            stop_reason = "weight mass not finite or zero"
-            break
-        stump = _fit_weak(fit_X, yprime, absdiff / S, cfg, rng)
-        hit = _hits(X, y_pos, stump)
+            if m == 0 and S <= 0.0:
+                raise ValueError("every gamma equals 0.5: no informative instance to boost on")
+            return terms, "weight mass not finite or zero", w_obs, w_flip
+        D = absdiff / S
+        stump = fit(D, yprime)
+        # hit: the stump's prediction matches the observed label
+        above = X[:, stump.feature] > stump.threshold
+        hit = above == y_pos if stump.polarity == 1 else above != y_pos
         miss = ~hit
         # compress gathers what boolean indexing would, a little faster
         right_mass = float(w_obs.compress(hit).sum())
@@ -335,17 +306,34 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
         if w_flip is not None:
             right_mass += float(w_flip.compress(miss).sum())
             wrong_mass += float(w_flip.compress(hit).sum())
-        beta, _ = _vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
+        beta, _ = _vote_from_sums(right_mass, wrong_mass, clamp)
         if beta <= 0.0:
-            stop_reason = "nonpositive vote"
-            break
+            return terms, "nonpositive vote", w_obs, w_flip
         terms.append((beta, stump))
-        w_obs, w_flip = _update(w_obs, w_flip, hit, beta)
+        # margin = (y * beta) * h is exactly +beta on hits and -beta on misses
+        margin = np.where(hit, beta, -beta)
+        w_obs_new = w_obs * np.exp(-margin)
+        w_flip_new = None if w_flip is None else w_flip * np.exp(margin)
+        if observe is not None:
+            observe(w_obs, w_flip, absdiff, D, yprime, stump, beta, w_obs_new, w_flip_new)
+        w_obs, w_flip = w_obs_new, w_flip_new
+    return terms, "budget", w_obs, w_flip
+
+
+def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
+    X, y = train.features, train.labels
+    rng = np.random.default_rng(cfg.seed)
+    fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
+
+    def fit(D, yprime):
+        return _fit_weak(fit_X, yprime, D, cfg, rng)
+
+    terms, stop_reason, w_obs, w_flip = _rounds(X, y, g, fit, cfg.iteration_cap(train.n), cfg.epsilon_clamp)
     ensemble = Ensemble(terms=tuple(terms), stopped_at=len(terms))
     trace = BoostTrace(
         rows=_Replay(X, y, g, ensemble.terms, cfg.epsilon_clamp),
         final_w_observed=w_obs,
-        final_w_flipped=np.zeros(n) if w_flip is None else w_flip,
+        final_w_flipped=np.zeros(train.n) if w_flip is None else w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stopped_early=stop_reason != "budget",
@@ -361,9 +349,9 @@ class _Replay(Sequence):
     """A run's TraceRows, rebuilt on first access and then kept.
 
     It holds only the run's read-only features, labels and initial gamma,
-    its terms and the clamp, and reruns the engine's per-round operations
-    in the engine's order, so every field comes out bit for bit as the
-    engine had it. Its length is known without replaying.
+    its terms and the clamp, and reruns the training loop with the recorded
+    stumps, so every field comes out bit for bit as training had it. Its
+    length is known without replaying.
     """
 
     def __init__(self, X, y, g, terms, epsilon_clamp):
@@ -379,36 +367,34 @@ class _Replay(Sequence):
     def __getitem__(self, i):
         return self._rows[i]
 
-    def __iter__(self):
-        return iter(self._rows)
 
+def _replay(X, y, g, terms, clamp) -> list[TraceRow]:
+    zeros = np.zeros(y.size)
+    rows = []
 
-def _replay(X, y, g, terms, clamp):
-    y_pos = y > 0
-    n = y.size
-    w_obs, w_flip = _start(g, n)
-    zeros = np.zeros(n)
-    for beta, stump in terms:
-        absdiff, yprime = _gap(w_obs, w_flip, y)
-        S = float(absdiff.sum())
+    def observe(w_obs, w_flip, absdiff, D, yprime, stump, beta, w_obs_new, w_flip_new):
         h = stump.predict(X)
         # the stump's own error is measured against the effective labels it
         # was trained on
         wrong_eff = h != yprime
         _, raw_err = _vote_from_sums(float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), clamp)
-        w_obs_new, w_flip_new = _update(w_obs, w_flip, _hits(X, y_pos, stump), beta)
         flip, flip_new = (zeros, zeros) if w_flip is None else (w_flip, w_flip_new)
-        yield TraceRow(
-            w_observed=w_obs,
-            w_flipped=flip,
-            sample_weights=absdiff / S,
-            effective_labels=yprime,
-            predictions=h,
-            beta=beta,
-            weighted_error=raw_err,
-            risk_after=float((w_obs_new + flip_new).sum()),
+        rows.append(
+            TraceRow(
+                w_observed=w_obs,
+                w_flipped=flip,
+                sample_weights=D,
+                effective_labels=yprime,
+                predictions=h,
+                beta=beta,
+                weighted_error=raw_err,
+                risk_after=float((w_obs_new + flip_new).sum()),
+            )
         )
-        w_obs, w_flip = w_obs_new, w_flip_new
+
+    stumps = (stump for _, stump in terms)
+    _rounds(X, y, g, lambda D, yprime: next(stumps), len(terms), clamp, observe)
+    return rows
 
 
 def train_adaboost(train: Dataset, cfg: BoostConfig = BoostConfig()) -> tuple[Ensemble, BoostTrace]:
@@ -546,8 +532,13 @@ def ensemble_from_json(text: str) -> tuple[Ensemble, dict]:
         raise ValueError("not an ensemble file: missing format tag 'cbboost-ensemble'")
     if obj.get("version") != 1:
         raise ValueError(f"unsupported ensemble file version {obj.get('version')!r}")
+    raw_terms = obj.get("terms", [])
+    if not isinstance(raw_terms, list):
+        raise ValueError("terms must be a JSON list")
     terms = []
-    for i, t in enumerate(obj.get("terms", [])):
+    for i, t in enumerate(raw_terms):
+        if not isinstance(t, dict):
+            raise ValueError(f"malformed term {i}: not a JSON object")
         try:
             terms.append(
                 (
@@ -561,7 +552,10 @@ def ensemble_from_json(text: str) -> tuple[Ensemble, dict]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed term {i}: {exc}") from None
-    ensemble = Ensemble(terms=tuple(terms), stopped_at=int(obj.get("stopped_at", len(terms))))
+    stopped_at = obj.get("stopped_at", len(terms))
+    if type(stopped_at) is not int:
+        raise ValueError(f"stopped_at must be a whole number, got {stopped_at!r}")
+    ensemble = Ensemble(terms=tuple(terms), stopped_at=stopped_at)
     config = obj.get("config", {})
     if not isinstance(config, dict):
         raise ValueError("config block must be a JSON object")

@@ -93,14 +93,14 @@ def _parse_thresholds(text: str) -> tuple:
 
 def _parse_stop(text: str) -> tuple[str, float]:
     name, _, arg = text.partition(":")
-    if name == "fixed":
-        if arg:
-            raise ValueError("stop rule 'fixed' takes no argument")
-        return "fixed", 0.5
-    if name == "consistency":
-        a = float(arg) if arg else 0.5
-        return "consistency", a
-    raise ValueError(f"unknown stop rule {text!r}, expected fixed or consistency:A")
+    try:
+        if name == "fixed" and not arg:
+            return "fixed", 0.5
+        if name == "consistency":
+            return "consistency", float(arg or 0.5)
+    except ValueError:
+        pass
+    raise ValueError(f"cannot parse stop rule {text!r}, expected fixed | consistency:A")
 
 
 def _boost_config(args) -> BoostConfig:

@@ -439,6 +439,9 @@ def _neighbours_for(ds: Dataset, neighbours: Neighbours | None, k: int, standard
         )
     if not np.array_equal(neighbours.features, ds.features):
         raise ValueError("neighbour table was built from a different feature matrix")
+    depth, need = neighbours.table.shape[1], min(4 * k, ds.n - 1)
+    if depth < need:
+        raise ValueError(f"neighbour table holds {depth} neighbours per row, k={k} needs {need}")
     return neighbours
 
 

@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"need train_n >= 2 and test_n >= 2, got {self.train_n}/{self.test_n}")
         if self.repetitions < 1:
             raise ValueError(f"need at least 1 repetition, got {self.repetitions}")
+        if not self.noise_levels or not self.methods:
+            raise ValueError("the grid needs at least one noise level and one method")
         for lv in self.noise_levels:
             if not (0.0 <= lv < 0.5):
                 raise ValueError(f"noise levels must lie in [0, 0.5), got {lv}")

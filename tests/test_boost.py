@@ -361,6 +361,23 @@ class TestEngineBudget:
         train_cb_adaboost(ds, ConfidenceVector(g), BoostConfig(max_iterations=200))
         assert len(calls) == fits
 
+    @pytest.mark.parametrize("mode", ["weighted", "resample"])
+    def test_reading_rows_fits_no_stump(self, monkeypatch, mode):
+        # the replay reruns the training loop with the recorded stumps
+        ds = random_problem(5, n=150)
+        g = np.random.default_rng(5).uniform(size=ds.n)
+        _, trace = train_cb_adaboost(ds, ConfidenceVector(g), BoostConfig(max_iterations=30, learner_mode=mode))
+        calls = []
+        fit = boost.train_stump
+
+        def counted(*args):
+            calls.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(boost, "train_stump", counted)
+        assert len(list(trace.rows)) == trace.iterations == 30
+        assert calls == []
+
 
 class TestPropositionChecker:
     def corrupt_trace(self):
@@ -586,6 +603,17 @@ class TestSerialization:
                 '{"format": "cbboost-ensemble", "version": 1, "stopped_at": 1,'
                 ' "terms": [{"beta": "1.0", "feature": 0}]}'
             )
+        head = '{"format": "cbboost-ensemble", "version": 1, '
+        with pytest.raises(ValueError, match="terms must be a JSON list"):
+            ensemble_from_json(head + '"stopped_at": 0, "terms": 5}')
+        with pytest.raises(ValueError, match="malformed term 1: not a JSON object"):
+            ensemble_from_json(
+                head + '"stopped_at": 2, "terms": [{"beta": "1.0", "feature": 0, "threshold": "0.5",'
+                ' "polarity": 1}, [1.0, 0, 0.5, 1]]}'
+            )
+        for stopped_at in ("null", '"0"', "0.5", "true"):
+            with pytest.raises(ValueError, match="stopped_at must be a whole number"):
+                ensemble_from_json(head + f'"stopped_at": {stopped_at}, "terms": []}}')
         with pytest.raises(ValueError, match="config block"):
             ensemble_from_json(
                 '{"format": "cbboost-ensemble", "version": 1, "stopped_at": 0,'

@@ -359,6 +359,25 @@ class TestErrors:
         err = run_fail(capsys, "eval", "--model", str(bad), "--in", str(pipeline / "raw.csv"))
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"terms": 5, "stopped_at": 0', "terms must be a JSON list"),
+        ('"terms": [], "stopped_at": null', "stopped_at must be a whole number"),
+    ])
+    def test_eval_on_mistyped_model(self, pipeline, capsys, fields, message):
+        bad = pipeline / "bad.json"
+        bad.write_text('{"format": "cbboost-ensemble", "version": 1, ' + fields + "}")
+        err = run_fail(capsys, "eval", "--model", str(bad), "--in", str(pipeline / "raw.csv"))
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_stop_rule_argument_not_a_number(self, pipeline, capsys):
+        err = run_fail(
+            capsys, "train", "--in", str(pipeline / "noisy.csv"),
+            "--out", str(pipeline / "m.json"), "--algo", "adaboost", "--stop", "consistency:abc",
+        )
+        assert err.startswith("error: cannot parse stop rule 'consistency:abc'") and err.count("\n") == 1
+        assert "fixed | consistency:A" in err
+        assert not (pipeline / "m.json").exists()
+
 
 class TestBench:
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
@@ -482,6 +501,15 @@ class TestBench:
         cfg_path.write_text(json.dumps(body))
         err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
         assert err.startswith(f"error: {cfg_path}: unknown key {key},") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({"methods": []}))
+        for flags in (["--noise-levels", ""], ["--config", str(cfg_path)]):
+            err = run_fail(capsys, "bench", *flags, "--out-dir", str(tmp_path / "o"))
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "at least one noise level and one method" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("body, message", [

@@ -226,6 +226,10 @@ def test_mismatched_table_rejected():
             call(noisy, standardize=False, neighbours=Neighbours(noisy.features))
         with pytest.raises(ValueError, match="standardize"):
             call(noisy, neighbours=Neighbours(noisy.features, standardize=False))
+        with pytest.raises(ValueError, match="holds 4 neighbours per row, k=5 needs 20"):
+            call(noisy, k=5, neighbours=Neighbours(noisy.features, k=1))
+        # a deeper table serves a smaller k
+        call(noisy, k=2, neighbours=Neighbours(noisy.features, k=5))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])

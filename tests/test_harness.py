@@ -95,6 +95,9 @@ class TestExperimentConfig:
             ExperimentConfig(noise_levels=(0.5,))
         with pytest.raises(ValueError, match="confidence_method"):
             ExperimentConfig(confidence_method="oracle")
+        for empty in ({"noise_levels": ()}, {"methods": ()}):
+            with pytest.raises(ValueError, match="at least one noise level and one method"):
+                ExperimentConfig(**empty)
         with pytest.raises(ValueError, match="unknown method"):
             ExperimentConfig(methods=("adaboost", "bagging"))
         with pytest.raises(ValueError, match="jobs"):
