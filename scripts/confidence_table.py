@@ -17,8 +17,8 @@ import numpy as np
 
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
-from cbboost.harness import derive_seed
-from cbboost.synth import SynthSpec, generate
+from cbboost.harness import ExperimentConfig, derive_seed
+from cbboost.synth import SCENARIOS, SynthSpec, generate
 
 ESTIMATORS = (
     ("bayes", "consistent"),
@@ -32,12 +32,7 @@ def one_cell(scenario, level, method, form, reps, n, base_seed):
     for rep in range(reps):
         train = generate(SynthSpec(scenario, n, derive_seed(base_seed, rep, "train")))
         noisy, mask = inject_label_noise(train, level, derive_seed(base_seed, rep, f"noise@{level!r}"))
-        gamma, _ = estimate_confidence(
-            noisy,
-            method=method,
-            noise_level=level if method == "bayes" else None,
-            form=form or "consistent",
-        )
+        gamma, _ = estimate_confidence(noisy, method=method, noise_level=level, form=form or "consistent")
         stats = confidence_quality(gamma, mask)
         clean_means.append(stats["clean"].mean)
         if stats["mislabeled"] is not None:
@@ -57,11 +52,11 @@ def fmt(v):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario", choices=("normal", "sine"), default="normal")
+    ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
     ap.add_argument("--noise-levels", default="0.1,0.2,0.3")
-    ap.add_argument("--repetitions", type=int, default=30)
-    ap.add_argument("--train-n", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=20240501)
+    ap.add_argument("--repetitions", type=int, default=ExperimentConfig.repetitions)
+    ap.add_argument("--train-n", type=int, default=ExperimentConfig.train_n)
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args()
 

@@ -16,10 +16,10 @@ import csv
 import numpy as np
 
 from cbboost.boost import BoostConfig, train_adaboost, train_cb_adaboost
-from cbboost.confidence import estimate_confidence
+from cbboost.confidence import CONFIDENCE_METHODS, estimate_confidence
 from cbboost.dataset import inject_label_noise
-from cbboost.harness import derive_seed, weight_trace_groups
-from cbboost.synth import SynthSpec, generate
+from cbboost.harness import ExperimentConfig, derive_seed, weight_trace_groups
+from cbboost.synth import SCENARIOS, SynthSpec, generate
 
 SERIES = (
     ("ada_clean", "groups_ada", "clean"),
@@ -33,14 +33,14 @@ SERIES = (
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario", choices=("normal", "sine"), default="normal")
+    ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
     ap.add_argument("--noise-level", type=float, default=0.1)
     ap.add_argument("--repetitions", type=int, default=10)
-    ap.add_argument("--train-n", type=int, default=500)
-    ap.add_argument("--iterations", type=int, default=200)
-    ap.add_argument("--confidence-method", choices=("knn", "bayes"), default="knn")
+    ap.add_argument("--train-n", type=int, default=ExperimentConfig.train_n)
+    ap.add_argument("--iterations", type=int, default=BoostConfig.max_iterations)
+    ap.add_argument("--confidence-method", choices=CONFIDENCE_METHODS, default=ExperimentConfig.confidence_method)
     ap.add_argument("--conf-cut", type=float, default=0.7)
-    ap.add_argument("--seed", type=int, default=20240501)
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     ap.add_argument("--out", default="traces.csv")
     args = ap.parse_args()
 
@@ -51,11 +51,7 @@ def main():
         noisy, mask = inject_label_noise(
             train, args.noise_level, derive_seed(args.seed, rep, f"noise@{args.noise_level!r}")
         )
-        gamma, _ = estimate_confidence(
-            noisy,
-            method=args.confidence_method,
-            noise_level=args.noise_level if args.confidence_method == "bayes" else None,
-        )
+        gamma, _ = estimate_confidence(noisy, method=args.confidence_method, noise_level=args.noise_level)
         _, tr_a = train_adaboost(noisy, cfg)
         _, tr_c = train_cb_adaboost(noisy, gamma, cfg)
         runs.append(

@@ -38,10 +38,12 @@ import numpy as np
 from .confidence import ConfidenceVector
 from .dataset import Dataset
 from .stump import Presorted, Stump, train_stump
-from .util import frozen, sign_pm
+from .util import frozen, real_number, sign_pm, whole_number
 
 __all__ = [
     "BoostConfig",
+    "LEARNER_MODES",
+    "STOP_RULES",
     "STOP_REASONS",
     "TraceRow",
     "BoostTrace",
@@ -60,6 +62,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# how each round fits its stump, and what caps a run's rounds (BoostConfig)
+LEARNER_MODES = ("weighted", "resample")
+STOP_RULES = ("fixed", "consistency")
 
 # why a run ended: its iteration cap, a vote that no longer beats chance, or
 # a weight mass that underflowed to zero or overflowed
@@ -88,9 +94,9 @@ class BoostConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.learner_mode not in ("weighted", "resample"):
+        if self.learner_mode not in LEARNER_MODES:
             raise ValueError(f"learner_mode must be 'weighted' or 'resample', got {self.learner_mode!r}")
-        if self.stop_rule not in ("fixed", "consistency"):
+        if self.stop_rule not in STOP_RULES:
             raise ValueError(f"stop_rule must be 'fixed' or 'consistency', got {self.stop_rule!r}")
         if not (0.0 < self.consistency_a < 1.0):
             raise ValueError(f"consistency_a must lie in (0, 1), got {self.consistency_a}")
@@ -542,11 +548,11 @@ def ensemble_from_json(text: str) -> tuple[Ensemble, dict]:
         try:
             terms.append(
                 (
-                    float(t["beta"]),
+                    real_number(t["beta"], "beta"),
                     Stump(
-                        feature=int(t["feature"]),
-                        threshold=float(t["threshold"]),
-                        polarity=int(t["polarity"]),
+                        feature=whole_number(t["feature"], "feature"),
+                        threshold=real_number(t["threshold"], "threshold"),
+                        polarity=whole_number(t["polarity"], "polarity"),
                     ),
                 )
             )

@@ -8,6 +8,9 @@ rounds and its final two-sided risk. JSON outputs embed the manifest filename; C
 outputs carry no comment rows (their schemas are strict), so their link to
 the manifest is the filename convention itself.
 
+A flag that sets an ExperimentConfig or BoostConfig field has the field's
+name as its dest and, where it has a default, the dataclass's default.
+
 Errors print as a single `error: ...` line on stderr with exit status 2
 (argument problems exit 2 via argparse as well). The CBBOOST_LOG environment
 variable (DEBUG/INFO/WARNING/...) controls log verbosity; any other value is
@@ -23,13 +26,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
-from .boost import BoostConfig, load_ensemble, save_ensemble
+from .boost import LEARNER_MODES, BoostConfig, load_ensemble, save_ensemble
 from .confidence import (
+    CONFIDENCE_METHODS,
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     FORMS,
@@ -48,7 +52,7 @@ from .harness import (
     table_to_json,
     test_error,
 )
-from .synth import SynthSpec, generate
+from .synth import SCENARIOS, SynthSpec, generate
 
 log = logging.getLogger("cbboost")
 
@@ -83,35 +87,39 @@ def _write_manifest(primary_out, command: str, config: dict, seeds: dict, inputs
     return path
 
 
-def _parse_thresholds(text: str) -> tuple:
+def _parse_thresholds(text: str, flag: str) -> tuple:
     try:
-        vals = tuple(float(t) for t in text.split(",") if t.strip() != "")
+        return tuple(float(t) for t in text.split(",") if t.strip() != "")
     except ValueError:
-        raise ValueError(f"cannot parse thresholds {text!r}, expected comma-separated reals") from None
-    return vals
+        raise ValueError(f"cannot parse {flag} {text!r}, expected comma-separated reals") from None
 
 
-def _parse_stop(text: str) -> tuple[str, float]:
+def _parse_stop(text: str | None) -> dict:
+    """--stop as the BoostConfig fields it sets; None (not given) sets none."""
+    if text is None:
+        return {}
     name, _, arg = text.partition(":")
-    try:
-        if name == "fixed" and not arg:
-            return "fixed", 0.5
-        if name == "consistency":
-            return "consistency", float(arg or 0.5)
-    except ValueError:
-        pass
+    if name == "consistency" or (name == "fixed" and not arg):
+        try:
+            return {"stop_rule": name, "consistency_a": float(arg or BoostConfig.consistency_a)}
+        except ValueError:
+            pass
     raise ValueError(f"cannot parse stop rule {text!r}, expected fixed | consistency:A")
 
 
-def _boost_config(args) -> BoostConfig:
-    stop_rule, a = _parse_stop(args.stop)
-    return BoostConfig(
-        max_iterations=args.iterations,
-        learner_mode=args.mode,
-        seed=args.seed,
-        stop_rule=stop_rule,
-        consistency_a=a,
-    )
+def _given(args, cls) -> dict:
+    """The flags that were given and are named after a field of dataclass cls.
+
+    A tuple field's flag, spelled after the field, takes comma-separated
+    text: reals where the field's default holds reals, else names.
+    """
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name, None) is not None}
+    for name, text in given.items():
+        default = getattr(cls, name)
+        if isinstance(default, tuple):
+            flag = "--" + name.replace("_", "-")
+            given[name] = _parse_thresholds(text, flag) if isinstance(default[0], float) else tuple(text.split(","))
+    return given
 
 
 def cmd_synth(args) -> int:
@@ -165,7 +173,7 @@ def cmd_noise(args) -> int:
 def cmd_confidence(args) -> int:
     t0 = time.monotonic()
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
-    thresholds = _parse_thresholds(args.filter_thresholds)
+    thresholds = _parse_thresholds(args.filter_thresholds, "--filter-thresholds")
     gamma, report = estimate_confidence(
         ds,
         method=args.method,
@@ -203,7 +211,7 @@ def cmd_confidence(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
-    cfg = _boost_config(args)
+    cfg = BoostConfig(**_given(args, BoostConfig), **_parse_stop(args.stop))
     method = METHODS[args.algo]
     inputs = [args.infile]
     gamma = None
@@ -215,8 +223,8 @@ def cmd_train(args) -> int:
     ensemble, stop_reason, final_risk = fit_method(args.algo, args.threshold, ds, gamma, cfg)
     config = {
         "algo": args.algo,
-        "iterations": args.iterations,
-        "mode": args.mode,
+        "iterations": cfg.max_iterations,
+        "mode": cfg.learner_mode,
         "stop": args.stop,
         "threshold": args.threshold if method.takes_threshold else None,
         "label_column": args.label_column,
@@ -225,7 +233,7 @@ def cmd_train(args) -> int:
     }
     save_ensemble(ensemble, args.out, config)
     result = {"stop_reason": stop_reason, "rounds": len(ensemble), "final_risk": final_risk}
-    _write_manifest(args.out, "train", config, {"seed": args.seed}, inputs, [args.out], t0, result)
+    _write_manifest(args.out, "train", config, {"seed": cfg.seed}, inputs, [args.out], t0, result)
     print(f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})")
     return 0
 
@@ -269,25 +277,9 @@ def cmd_bench(args) -> int:
             cfg = config_from_echo(json.load(fh), args.config)
         inputs.append(args.config)
     # flags that were given override the file, which overrides the defaults
-    flags = {
-        "scenario": args.scenario,
-        "train_n": args.train_n,
-        "test_n": args.test_n,
-        "noise_levels": None if args.noise_levels is None else _parse_thresholds(args.noise_levels),
-        "methods": None if args.methods is None else tuple(args.methods.split(",")),
-        "repetitions": args.repetitions,
-        "base_seed": args.seed,
-        "confidence_method": args.confidence_method,
-        "confidence_form": args.form,
-        "k": args.k,
-        "filter_thresholds": None if args.filter_thresholds is None else _parse_thresholds(args.filter_thresholds),
-        "jobs": args.jobs,
-    }
-    boost_flags = {"max_iterations": args.iterations, "learner_mode": args.mode}
-    if args.stop is not None:
-        boost_flags["stop_rule"], boost_flags["consistency_a"] = _parse_stop(args.stop)
-    boost = replace(cfg.boost, **{k: v for k, v in boost_flags.items() if v is not None})
-    cfg = replace(cfg, boost=boost, **{k: v for k, v in flags.items() if v is not None})
+    flags = _given(args, ExperimentConfig)
+    boost = replace(cfg.boost, **_given(args, BoostConfig), **_parse_stop(args.stop))
+    cfg = replace(cfg, boost=boost, **flags)
     os.makedirs(args.out_dir, exist_ok=True)
     log.info("bench grid: %s", cfg)
     table = run_experiment(cfg)
@@ -300,15 +292,8 @@ def cmd_bench(args) -> int:
         fh.write("\n")
     with open(csv_path, "w", newline="") as fh:
         fh.write(table_to_csv(table))
-    _write_manifest(
-        json_path,
-        "bench",
-        body["config"],
-        {"base_seed": cfg.base_seed},
-        inputs,
-        [json_path, csv_path],
-        t0,
-    )
+    seeds = {"base_seed": cfg.base_seed}
+    _write_manifest(json_path, "bench", body["config"], seeds, inputs, [json_path, csv_path], t0)
     print(f"wrote {json_path} and {csv_path}")
     return 0
 
@@ -330,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--scenario", choices=("normal", "sine"), required=True)
+    p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -346,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confidence", help="estimate per-label confidence, write gamma.csv")
     _add_io_flags(p)
-    p.add_argument("--method", choices=("knn", "bayes"), default="knn")
+    p.add_argument("--method", choices=CONFIDENCE_METHODS, default="knn")
     p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--noise-level", type=float, default=None, help="assumed flip rate (bayes only)")
     p.add_argument("--form", choices=FORMS, default="consistent")
@@ -365,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model, write model JSON")
     _add_io_flags(p)
-    p.add_argument("--algo", choices=tuple(METHODS), required=True)
+    p.add_argument("--algo", choices=METHODS, required=True)
     p.add_argument("--gamma", default=None, help="gamma.csv from the confidence step (cb/disc/corr)")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--mode", choices=("weighted", "resample"), default="weighted")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", default="fixed", help="fixed | consistency:A")
+    p.add_argument("--iterations", dest="max_iterations", metavar="ITERATIONS", type=int, default=BoostConfig.max_iterations)
+    p.add_argument("--mode", dest="learner_mode", choices=LEARNER_MODES, default=BoostConfig.learner_mode)
+    p.add_argument("--seed", type=int, default=BoostConfig.seed)
+    p.add_argument("--stop", default=BoostConfig.stop_rule, help="fixed | consistency:A")
     p.add_argument("--threshold", type=float, default=0.5, help="confidence cutoff for disc/corr")
     p.set_defaults(func=cmd_train)
 
@@ -384,21 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config with the keys of a results.json config echo; flags override its values")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--scenario", choices=("normal", "sine"), default=None)
-    p.add_argument("--train-n", type=int, default=None)
-    p.add_argument("--test-n", type=int, default=None)
-    p.add_argument("--noise-levels", default=None, help="comma-separated, e.g. 0,0.1,0.2")
-    p.add_argument("--methods", default=None, help="comma-separated, e.g. adaboost,cb,disc:0.5")
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="base seed for the grid")
-    p.add_argument("--confidence-method", choices=("knn", "bayes"), default=None)
-    p.add_argument("--form", choices=FORMS, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--filter-thresholds", default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--mode", choices=("weighted", "resample"), default=None)
-    p.add_argument("--stop", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--scenario", choices=SCENARIOS)
+    p.add_argument("--train-n", type=int)
+    p.add_argument("--test-n", type=int)
+    p.add_argument("--noise-levels", help="comma-separated, e.g. 0,0.1,0.2")
+    p.add_argument("--methods", help="comma-separated, e.g. adaboost,cb,disc:0.5")
+    p.add_argument("--repetitions", type=int)
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base seed for the grid")
+    p.add_argument("--confidence-method", choices=CONFIDENCE_METHODS)
+    p.add_argument("--form", dest="confidence_form", choices=FORMS)
+    p.add_argument("--k", type=int)
+    p.add_argument("--filter-thresholds")
+    p.add_argument("--iterations", dest="max_iterations", metavar="ITERATIONS", type=int)
+    p.add_argument("--mode", dest="learner_mode", choices=LEARNER_MODES)
+    p.add_argument("--stop")
+    p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs)
     p.set_defaults(func=cmd_bench)
 
     return parser

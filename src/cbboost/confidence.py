@@ -61,11 +61,14 @@ __all__ = [
     "check_settings",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_K",
+    "CONFIDENCE_METHODS",
     "FORMS",
 ]
 
 DEFAULT_THRESHOLDS = (0.07, 0.14, 0.21)
 DEFAULT_K = 5
+# estimate_confidence's scoring stages, and bayes_confidence's two priors
+CONFIDENCE_METHODS = ("knn", "bayes")
 FORMS = ("consistent", "paper-literal")
 
 # doubles in one query block's pairwise temporary (8 MB)
@@ -602,11 +605,12 @@ def estimate_confidence(
     """Filter then score: the standard two-stage confidence pipeline.
 
     Both stages read one neighbour table: `neighbours` when given, else one
-    built here from ds.
+    built here from ds. noise_level is the assumed flip rate: bayes requires
+    it and knn ignores it, so a caller can pass its level for either method.
     """
     check_settings(k=k, thresholds=thresholds)
     # rejected before the table search, which dominates the cost of a call
-    if method not in ("knn", "bayes"):
+    if method not in CONFIDENCE_METHODS:
         raise ValueError(f"unknown confidence method {method!r}, expected 'knn' or 'bayes'")
     if method == "bayes" and noise_level is None:
         raise ValueError("bayes confidence requires a noise_level")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .boost import BoostConfig, Ensemble, predict, train_adaboost, train_cb_adaboost
 from .confidence import (
+    CONFIDENCE_METHODS,
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     ConfidenceVector,
@@ -32,7 +33,8 @@ from .confidence import (
     estimate_confidence,
 )
 from .dataset import Dataset, inject_label_noise
-from .synth import SynthSpec, generate
+from .synth import SCENARIOS, SynthSpec, generate
+from .util import whole_number
 
 __all__ = [
     "ExperimentConfig",
@@ -83,7 +85,10 @@ def parse_method(spec: str) -> tuple[str, float | None]:
     if METHODS[name].takes_threshold:
         if not arg:
             raise ValueError(f"method {name!r} needs a threshold, e.g. {name}:0.5")
-        thr = float(arg)
+        try:
+            thr = float(arg)
+        except ValueError:
+            raise ValueError(f"cannot parse method {spec!r}, expected a threshold as in {name}:0.5") from None
         if not (0.0 < thr < 1.0):
             raise ValueError(f"threshold for {name!r} must lie in (0, 1), got {thr}")
         return name, thr
@@ -94,7 +99,11 @@ def parse_method(spec: str) -> tuple[str, float | None]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark grid: scenario x noise levels x methods x repetitions."""
+    """One benchmark grid: scenario x noise levels x methods x repetitions.
+
+    The fields are the keys of a results.json config echo and the dests of
+    `cbboost bench`'s flags. No noise level or method spec may repeat.
+    """
 
     scenario: str = "normal"
     train_n: int = 500
@@ -111,7 +120,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.scenario not in ("normal", "sine"):
+        if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be 'normal' or 'sine', got {self.scenario!r}")
         if self.train_n < 2 or self.test_n < 2:
             raise ValueError(f"need train_n >= 2 and test_n >= 2, got {self.train_n}/{self.test_n}")
@@ -122,11 +131,15 @@ class ExperimentConfig:
         for lv in self.noise_levels:
             if not (0.0 <= lv < 0.5):
                 raise ValueError(f"noise levels must lie in [0, 0.5), got {lv}")
-        if self.confidence_method not in ("knn", "bayes"):
+        # a repeated entry would run its cells twice and keep one of them
+        if len(set(self.noise_levels)) < len(self.noise_levels):
+            raise ValueError(f"noise levels must not repeat, got {self.noise_levels}")
+        if self.confidence_method not in CONFIDENCE_METHODS:
             raise ValueError(f"confidence_method must be 'knn' or 'bayes', got {self.confidence_method!r}")
         check_settings(self.k, self.filter_thresholds, self.confidence_form)
-        for m in self.methods:
-            parse_method(m)
+        specs = [parse_method(m) for m in self.methods]
+        if len(set(specs)) < len(specs):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -255,7 +268,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
                     method=cfg.confidence_method,
                     k=cfg.k,
                     thresholds=cfg.filter_thresholds,
-                    noise_level=level if cfg.confidence_method == "bayes" else None,
+                    noise_level=level,
                     form=cfg.confidence_form,
                     neighbours=nb,
                 )
@@ -393,13 +406,9 @@ def _read_value(value, default, what: str):
         if not isinstance(value, str):
             raise ValueError(f"{what} must be a string, got {value!r}")
         return value
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
-        # int() alone would truncate 4.7 to 4 without a word
-        if not number or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{what} must be a whole number, got {value!r}")
-        return int(value)
-    if not number:
+        return whole_number(value, what)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -16,3 +16,23 @@ def frozen(a, dtype=None):
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def whole_number(value, what: str) -> int:
+    """A JSON number that is whole, as an int; a whole float such as 3.0 reads as 3.
+
+    Bools, strings and fractional or non-finite numbers are rejected, where
+    int() alone would truncate 1.5 to 1 or read "1" and true as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """float(value), except that a bool is rejected rather than read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)

@@ -614,6 +614,28 @@ class TestSerialization:
         for stopped_at in ("null", '"0"', "0.5", "true"):
             with pytest.raises(ValueError, match="stopped_at must be a whole number"):
                 ensemble_from_json(head + f'"stopped_at": {stopped_at}, "terms": []}}')
+        # int() would read 1.5, true and "1" as feature 1; float() would read true as 1.0
+        good = {"beta": '"0.5"', "feature": "1", "threshold": '"0.25"', "polarity": "-1"}
+
+        def one_term(**raw):
+            term = ", ".join(f'"{k}": {v}' for k, v in {**good, **raw}.items())
+            return ensemble_from_json(head + f'"stopped_at": 1, "terms": [{{{term}}}]}}')
+
+        for key, value, kind in [
+            ("feature", "1.5", "a whole number"),
+            ("feature", "true", "a whole number"),
+            ("feature", '"1"', "a whole number"),
+            ("polarity", '"-1"', "a whole number"),
+            ("polarity", "-1.5", "a whole number"),
+            ("polarity", "false", "a whole number"),
+            ("beta", "true", "a number"),
+            ("threshold", "false", "a number"),
+        ]:
+            with pytest.raises(ValueError, match=f"malformed term 0: {key} must be {kind}, got"):
+                one_term(**{key: value})
+        # the writer's 17-digit strings load, and so does a whole float
+        assert one_term()[0].terms == ((0.5, Stump(1, 0.25, -1)),)
+        assert one_term(feature="1.0", polarity="-1.0")[0].terms == ((0.5, Stump(1, 0.25, -1)),)
         with pytest.raises(ValueError, match="config block"):
             ensemble_from_json(
                 '{"format": "cbboost-ensemble", "version": 1, "stopped_at": 0,'

@@ -1,5 +1,6 @@
 """End-to-end command pipeline, manifests, and error conventions."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,11 +11,21 @@ import numpy as np
 import pytest
 
 import cbboost
-from cbboost.boost import BoostConfig, ensemble_to_json, load_ensemble, train_adaboost, train_cb_adaboost
-from cbboost.cli import main
-from cbboost.confidence import read_gamma_csv
+from dataclasses import fields
+
+from cbboost.boost import (
+    LEARNER_MODES,
+    BoostConfig,
+    ensemble_to_json,
+    load_ensemble,
+    train_adaboost,
+    train_cb_adaboost,
+)
+from cbboost.cli import build_parser, main
+from cbboost.confidence import CONFIDENCE_METHODS, FORMS, read_gamma_csv
 from cbboost.dataset import Dataset, load_csv, save_csv
-from cbboost.harness import METHODS, fit_method
+from cbboost.harness import METHODS, ExperimentConfig, fit_method
+from cbboost.synth import SCENARIOS
 
 
 def run_ok(capsys, *argv):
@@ -316,6 +327,15 @@ class TestConfidenceFlags:
         m = json.loads((pipeline / "gt.csv.manifest.json").read_text())
         assert m["config"]["filter_thresholds"] == [0.1, 0.2]
 
+    def test_unparseable_filter_thresholds_named(self, pipeline, capsys):
+        err = run_fail(
+            capsys,
+            "confidence", "--in", str(pipeline / "noisy.csv"), "--out", str(pipeline / "x.csv"),
+            "--filter-thresholds", "0.1,x",
+        )
+        assert err == "error: cannot parse --filter-thresholds '0.1,x', expected comma-separated reals\n"
+        assert not (pipeline / "x.csv").exists()
+
 
 class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -362,6 +382,9 @@ class TestErrors:
     @pytest.mark.parametrize("fields, message", [
         ('"terms": 5, "stopped_at": 0', "terms must be a JSON list"),
         ('"terms": [], "stopped_at": null', "stopped_at must be a whole number"),
+        # int() would read it as feature 1 and evaluate the wrong model
+        ('"terms": [{"beta": "1", "feature": 1.5, "threshold": "0", "polarity": 1}], "stopped_at": 1',
+         "malformed term 0: feature must be a whole number, got 1.5"),
     ])
     def test_eval_on_mistyped_model(self, pipeline, capsys, fields, message):
         bad = pipeline / "bad.json"
@@ -536,6 +559,27 @@ class TestBench:
         assert err.startswith("error: ") and "unknown method" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "disc:abc"], "cannot parse method 'disc:abc', expected a threshold as in disc:0.5"),
+        (["--noise-levels", "0.1,abc"], "cannot parse --noise-levels '0.1,abc', expected comma-separated reals"),
+        (["--filter-thresholds", "x"], "cannot parse --filter-thresholds 'x', expected comma-separated reals"),
+        (["--noise-levels", "0.1,0.1", "--methods", "adaboost,adaboost"], "noise levels must not repeat, got (0.1, 0.1)"),
+        (["--methods", "adaboost,cb,adaboost"], "methods must not repeat, got ('adaboost', 'cb', 'adaboost')"),
+    ])
+    def test_flag_errors_name_the_setting(self, tmp_path, capsys, flags, message):
+        argv = ["bench", "--out-dir", str(tmp_path / "o"), "--train-n", "40", "--test-n", "50",
+                "--repetitions", "1", "--iterations", "2", *flags]
+        err = run_fail(capsys, *argv)
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_method_error_names_the_spec(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({"methods": ["cb", "disc:abc"]}))
+        err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
+        assert err == f"error: {cfg_path}: cannot parse method 'disc:abc', expected a threshold as in disc:0.5\n"
+        assert not (tmp_path / "o").exists()
+
     def test_whole_floats_accepted(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps({
@@ -552,3 +596,44 @@ class TestBench:
         cfg_path.write_text("[1, 2]")
         err = run_fail(capsys, "bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"))
         assert "must be a JSON object" in err
+
+
+def subparser(name):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+# flags of bench and train that set no config field
+NOT_CONFIG = {
+    "bench": {"help", "config", "out_dir", "stop"},
+    "train": {"help", "infile", "out", "label_column", "positive_label", "algo", "gamma", "stop", "threshold"},
+}
+OWNERS = {
+    "scenario": SCENARIOS,
+    "confidence_method": CONFIDENCE_METHODS,
+    "confidence_form": FORMS,
+    "learner_mode": LEARNER_MODES,
+    "algo": METHODS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_CONFIG))
+def test_flags_are_named_after_config_fields(command):
+    """A flag sets the field its dest names; nothing maps flags to fields by hand."""
+    experiment = {f.name for f in fields(ExperimentConfig)}
+    boost = {f.name for f in fields(BoostConfig)}
+    assert not experiment & boost  # one dest sets one field
+    if command == "bench":
+        boost.discard("seed")  # every repetition derives its own boosting seed
+    actions = subparser(command)._actions
+    dests = {a.dest for a in actions}
+    assert dests - NOT_CONFIG[command] <= experiment | boost
+    if command == "bench":
+        assert experiment - {"boost"} <= dests
+    for action in actions:
+        if action.choices is not None:
+            assert action.choices is OWNERS[action.dest], action.dest
+        if action.dest in boost and command == "train":
+            assert action.default == getattr(BoostConfig, action.dest), action.dest
+        if action.dest in experiment | boost and command == "bench" and action.dest != "jobs":
+            assert action.default is None, action.dest  # an unset flag leaves the config file's value

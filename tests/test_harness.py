@@ -74,6 +74,8 @@ class TestParseMethod:
             parse_method("corr:1.5")
         with pytest.raises(ValueError, match="takes no argument"):
             parse_method("adaboost:0.5")
+        with pytest.raises(ValueError, match=r"cannot parse method 'corr:abc', expected a threshold as in corr:0\.5"):
+            parse_method("corr:abc")
 
 
 class TestExperimentConfig:
@@ -108,6 +110,13 @@ class TestExperimentConfig:
             ExperimentConfig(filter_thresholds=(0.0, 0.2))
         with pytest.raises(ValueError, match="form must be"):
             ExperimentConfig(confidence_form="bogus")
+        for levels in ((0.1, 0.1), (0.0, 0.2, 0)):
+            with pytest.raises(ValueError, match="noise levels must not repeat"):
+                ExperimentConfig(noise_levels=levels)
+        for methods in (("adaboost", "cb", "adaboost"), ("disc:0.5", "disc:0.50")):
+            with pytest.raises(ValueError, match="methods must not repeat"):
+                ExperimentConfig(methods=methods)
+        ExperimentConfig(methods=("disc:0.5", "corr:0.5", "disc:0.25"))
 
 
 def toy_train(seed=0, n=24):
