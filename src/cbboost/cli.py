@@ -1,12 +1,13 @@
 """Command-line pipeline: synth -> noise -> confidence -> train / eval / bench.
 
-Every subcommand writes its primary output plus a RunManifest JSON sitting
-next to it at <output>.manifest.json, recording the tool version, the fully
-resolved configuration, all seeds, SHA-256 digests of the inputs, the output
-list and wall-clock timings; train's also records why the run stopped, its
-rounds and its final two-sided risk. JSON outputs embed the manifest filename; CSV
-outputs carry no comment rows (their schemas are strict), so their link to
-the manifest is the filename convention itself.
+Each subcommand returns what it wrote, and `main` writes every manifest: a
+RunManifest JSON next to the primary output at <output>.manifest.json, with
+the tool version, the subcommand, the fully resolved configuration, all seeds,
+SHA-256 digests of the inputs, the output list and the seconds the whole
+command took; train's also records why the run stopped, its rounds and its
+final two-sided risk. JSON outputs embed the manifest filename; CSV outputs
+carry no comment rows (their schemas are strict), so their link to the
+manifest is the filename convention itself. eval without --out writes none.
 
 A flag that sets an ExperimentConfig or BoostConfig field has the field's
 name as its dest and, where it has a default, the dataclass's default.
@@ -27,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,26 +67,44 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, seeds: dict, inputs, outputs, t0: float,
-                    result: dict | None = None) -> str:
-    path = f"{primary_out}.manifest.json"
+class Written(NamedTuple):
+    """What one command wrote. outputs[0] is its primary output, next to which
+    `main` writes the manifest; summary is the line printed after that."""
+
+    config: dict
+    seeds: dict
+    inputs: list
+    outputs: list
+    summary: str | None = None
+    result: dict | None = None
+
+
+def _manifest_path(out) -> str:
+    return f"{out}.manifest.json"
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(run: Written, command: str, t0: float) -> None:
     manifest = {
         "tool": "cbboost",
         "version": __version__,
         "command": command,
-        "config": config,
-        "seeds": seeds,
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "config": run.config,
+        "seeds": run.seeds,
+        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in run.inputs],
+        "outputs": [str(p) for p in run.outputs],
         "elapsed_seconds": round(time.monotonic() - t0, 6),
     }
-    if result is not None:
-        manifest["result"] = result
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if run.result is not None:
+        manifest["result"] = run.result
+    path = _manifest_path(run.outputs[0])
+    _write_json(path, manifest)
     log.info("wrote manifest %s", path)
-    return path
 
 
 def _parse_thresholds(text: str, flag: str) -> tuple:
@@ -122,26 +142,16 @@ def _given(args, cls) -> dict:
     return given
 
 
-def cmd_synth(args) -> int:
-    t0 = time.monotonic()
+def cmd_synth(args) -> Written:
     spec = SynthSpec(scenario=args.scenario, n=args.n, seed=args.seed)
     ds = generate(spec)
     save_csv(ds, args.out, label_column=args.label_column)
-    _write_manifest(
-        args.out,
-        "synth",
-        {"scenario": args.scenario, "n": args.n, "label_column": args.label_column},
-        {"seed": args.seed},
-        [],
-        [args.out],
-        t0,
-    )
-    print(f"wrote {args.out} ({ds.n} rows, {ds.p} features)")
-    return 0
+    return Written(config={"scenario": args.scenario, "n": args.n, "label_column": args.label_column},
+                   seeds={"seed": args.seed}, inputs=[], outputs=[args.out],
+                   summary=f"wrote {args.out} ({ds.n} rows, {ds.p} features)")
 
 
-def cmd_noise(args) -> int:
-    t0 = time.monotonic()
+def cmd_noise(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     noisy, mask = inject_label_noise(ds, args.noise_level, args.seed)
     save_csv(noisy, args.out, label_column=args.label_column)
@@ -152,26 +162,17 @@ def cmd_noise(args) -> int:
             for v in mask.flipped:
                 fh.write(f"{int(v)}\n")
         outputs.append(args.mask_out)
-    _write_manifest(
-        args.out,
-        "noise",
-        {
-            "noise_level": args.noise_level,
-            "label_column": args.label_column,
-            "positive_label": args.positive_label,
-            "flipped_count": mask.count,
-        },
-        {"seed": args.seed},
-        [args.infile],
-        outputs,
-        t0,
-    )
-    print(f"wrote {args.out} ({mask.count} of {ds.n} labels flipped)")
-    return 0
+    config = {
+        "noise_level": args.noise_level,
+        "label_column": args.label_column,
+        "positive_label": args.positive_label,
+        "flipped_count": mask.count,
+    }
+    return Written(config=config, seeds={"seed": args.seed}, inputs=[args.infile], outputs=outputs,
+                   summary=f"wrote {args.out} ({mask.count} of {ds.n} labels flipped)")
 
 
-def cmd_confidence(args) -> int:
-    t0 = time.monotonic()
+def cmd_confidence(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     thresholds = _parse_thresholds(args.filter_thresholds, "--filter-thresholds")
     gamma, report = estimate_confidence(
@@ -184,32 +185,23 @@ def cmd_confidence(args) -> int:
         standardize=args.standardize,
     )
     write_gamma_csv(gamma, args.out)
-    _write_manifest(
-        args.out,
-        "confidence",
-        {
-            "method": args.method,
-            "k": args.k,
-            "filter_thresholds": list(thresholds),
-            "noise_level": args.noise_level,
-            "form": args.form,
-            "standardize": bool(args.standardize),
-            "label_column": args.label_column,
-            "positive_label": args.positive_label,
-            "kept": int(report.n_kept),
-            "filter_aborted": bool(report.aborted),
-        },
-        {},
-        [args.infile],
-        [args.out],
-        t0,
-    )
-    print(f"wrote {args.out} (filter kept {report.n_kept}/{ds.n} rows)")
-    return 0
+    config = {
+        "method": args.method,
+        "k": args.k,
+        "filter_thresholds": list(thresholds),
+        "noise_level": args.noise_level,
+        "form": args.form,
+        "standardize": bool(args.standardize),
+        "label_column": args.label_column,
+        "positive_label": args.positive_label,
+        "kept": int(report.n_kept),
+        "filter_aborted": bool(report.aborted),
+    }
+    return Written(config=config, seeds={}, inputs=[args.infile], outputs=[args.out],
+                   summary=f"wrote {args.out} (filter kept {report.n_kept}/{ds.n} rows)")
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     cfg = BoostConfig(**_given(args, BoostConfig), **_parse_stop(args.stop))
     method = METHODS[args.algo]
@@ -229,47 +221,34 @@ def cmd_train(args) -> int:
         "threshold": args.threshold if method.takes_threshold else None,
         "label_column": args.label_column,
         "positive_label": args.positive_label,
-        "manifest": f"{args.out}.manifest.json",
+        "manifest": _manifest_path(args.out),
     }
     save_ensemble(ensemble, args.out, config)
-    result = {"stop_reason": stop_reason, "rounds": len(ensemble), "final_risk": final_risk}
-    _write_manifest(args.out, "train", config, {"seed": cfg.seed}, inputs, [args.out], t0, result)
-    print(f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})")
-    return 0
+    return Written(config=config, seeds={"seed": cfg.seed}, inputs=inputs, outputs=[args.out],
+                   summary=f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})",
+                   result={"stop_reason": stop_reason, "rounds": len(ensemble), "final_risk": final_risk})
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args) -> Written | None:
     ensemble, model_config = load_ensemble(args.model)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     err = test_error(ensemble, ds)
     print(f"test_error {err!r}")
-    if args.out:
-        metrics = {
-            "test_error": err,
-            "n_test": ds.n,
-            "model": str(args.model),
-            "model_terms": len(ensemble),
-            "manifest": f"{args.out}.manifest.json",
-        }
-        with open(args.out, "w") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(
-            args.out,
-            "eval",
-            {"label_column": args.label_column, "positive_label": args.positive_label,
-             "model_config": model_config},
-            {},
-            [args.model, args.infile],
-            [args.out],
-            t0,
-        )
-    return 0
+    if not args.out:
+        return None
+    metrics = {
+        "test_error": err,
+        "n_test": ds.n,
+        "model": str(args.model),
+        "model_terms": len(ensemble),
+        "manifest": _manifest_path(args.out),
+    }
+    _write_json(args.out, metrics)
+    config = {"label_column": args.label_column, "positive_label": args.positive_label, "model_config": model_config}
+    return Written(config=config, seeds={}, inputs=[args.model, args.infile], outputs=[args.out])
 
 
-def cmd_bench(args) -> int:
-    t0 = time.monotonic()
+def cmd_bench(args) -> Written:
     cfg = ExperimentConfig()
     inputs = []
     if args.config:
@@ -277,25 +256,20 @@ def cmd_bench(args) -> int:
             cfg = config_from_echo(json.load(fh), args.config)
         inputs.append(args.config)
     # flags that were given override the file, which overrides the defaults
-    flags = _given(args, ExperimentConfig)
     boost = replace(cfg.boost, **_given(args, BoostConfig), **_parse_stop(args.stop))
-    cfg = replace(cfg, boost=boost, **flags)
+    cfg = replace(cfg, boost=boost, **_given(args, ExperimentConfig))
     os.makedirs(args.out_dir, exist_ok=True)
     log.info("bench grid: %s", cfg)
     table = run_experiment(cfg)
     json_path = os.path.join(args.out_dir, "results.json")
     csv_path = os.path.join(args.out_dir, "results.csv")
     body = json.loads(table_to_json(table))
-    body["manifest"] = "results.json.manifest.json"
-    with open(json_path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    body["manifest"] = _manifest_path("results.json")
+    _write_json(json_path, body)
     with open(csv_path, "w", newline="") as fh:
         fh.write(table_to_csv(table))
-    seeds = {"base_seed": cfg.base_seed}
-    _write_manifest(json_path, "bench", body["config"], seeds, inputs, [json_path, csv_path], t0)
-    print(f"wrote {json_path} and {csv_path}")
-    return 0
+    return Written(config=body["config"], seeds={"base_seed": cfg.base_seed}, inputs=inputs,
+                   outputs=[json_path, csv_path], summary=f"wrote {json_path} and {csv_path}")
 
 
 def _add_io_flags(p, needs_out=True):
@@ -400,10 +374,16 @@ def main(argv=None) -> int:
         return 2
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        run = args.func(args)
+        if run is not None:
+            _write_manifest(run, args.command, t0)
+            if run.summary is not None:
+                print(run.summary)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

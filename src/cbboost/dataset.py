@@ -131,6 +131,8 @@ def load_csv(path, label_column: str = "label", positive_label: str = "1") -> Da
         header = [h.strip() for h in header]
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+        if header.count(label_column) > 1:
+            raise ValueError(f"{path}: label column {label_column!r} appears more than once in header {header}")
         li = header.index(label_column)
         feat_idx = [j for j in range(len(header)) if j != li]
         if not feat_idx:
@@ -180,6 +182,9 @@ def save_csv(ds: Dataset, path, label_column: str = "label", feature_names=None)
         feature_names = [f"x{j + 1}" for j in range(ds.p)]
     if len(feature_names) != ds.p:
         raise ValueError(f"{len(feature_names)} feature names for {ds.p} columns")
+    # load_csv could not tell the label from a feature of the same name
+    if label_column in feature_names:
+        raise ValueError(f"label column {label_column!r} clashes with a feature name in {list(feature_names)}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(feature_names) + [label_column])

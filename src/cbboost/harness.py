@@ -150,7 +150,7 @@ class CellResult:
 
     values holds one test error per repetition, None where that repetition
     failed for this method (the error message lands in errors); stops holds
-    the ensemble length per repetition (None on failure or for 'stump').
+    the ensemble length per repetition (None on failure; 1 for 'stump').
     """
 
     values: tuple
@@ -294,8 +294,10 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     A method failing on one repetition leaves that cell entry missing (None)
     with its error recorded instead of aborting the whole run.
     """
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # a fork pool starts every worker on the first submit, so start no more than there is work for
+    workers = min(cfg.jobs, cfg.repetitions)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_run_repetition, [cfg] * cfg.repetitions, range(cfg.repetitions)))
     else:
         per_rep = [_run_repetition(cfg, rep) for rep in range(cfg.repetitions)]

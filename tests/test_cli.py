@@ -205,6 +205,34 @@ class TestManifest:
         assert m["config"]["flipped_count"] == 24
 
 
+def test_main_writes_one_manifest_per_run(tmp_path, capsys, monkeypatch):
+    """Every command's manifest sits next to its primary output and lists what it wrote."""
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ("synth", "--scenario", "normal", "--n", "60", "--seed", "1", "--out", "raw.csv"),
+        ("noise", "--in", "raw.csv", "--out", "noisy.csv", "--noise-level", "0.2", "--mask-out", "mask.csv"),
+        ("confidence", "--in", "noisy.csv", "--out", "gamma.csv"),
+        ("train", "--in", "noisy.csv", "--gamma", "gamma.csv", "--algo", "cb", "--iterations", "5",
+         "--out", "model.json"),
+        ("eval", "--model", "model.json", "--in", "raw.csv", "--out", "metrics.json"),
+        ("eval", "--model", "model.json", "--in", "raw.csv"),
+        ("bench", "--out-dir", "grid", "--train-n", "40", "--test-n", "50", "--repetitions", "1",
+         "--noise-levels", "0.1", "--iterations", "3"),
+    ]
+    for argv in runs:
+        before = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+        run_ok(capsys, *argv)
+        wrote = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()} - before
+        if argv[0] == "eval" and "--out" not in argv:
+            assert wrote == set()
+            continue
+        (manifest,) = [p for p in wrote if p.endswith(".manifest.json")]
+        body = json.loads((tmp_path / manifest).read_text())
+        assert body["command"] == argv[0]
+        assert manifest == body["outputs"][0] + ".manifest.json"
+        assert set(body["outputs"]) == wrote - {manifest}
+
+
 class TestDeterminism:
     def test_synth_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -345,6 +373,13 @@ class TestErrors:
         )
         assert err.startswith("error: ")
         assert err.count("\n") == 1  # a single line
+
+    def test_label_column_named_like_a_feature(self, tmp_path, capsys):
+        # load_csv could not read such a file back: the label would be taken for a feature
+        out = tmp_path / "a.csv"
+        err = run_fail(capsys, "synth", "--scenario", "normal", "--n", "50", "--label-column", "x1", "--out", str(out))
+        assert err.startswith("error: label column 'x1' clashes with a feature name") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_noise_level(self, pipeline, capsys):
         err = run_fail(

@@ -107,6 +107,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="no column named 'label'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header", ["x1,x2,x1", "x1,x1,x2", " x1,x2,x1 "])
+    def test_repeated_label_column(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n0.5,1.5,1\n2.5,3.5,-1\n")
+        with pytest.raises(ValueError, match="label column 'x1' appears more than once in header"):
+            load_csv(path, label_column="x1")
+
+    @pytest.mark.parametrize("label, names", [("x1", None), ("b", ["a", "b"])])
+    def test_save_rejects_label_named_like_a_feature(self, tmp_path, label, names):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=f"label column '{label}' clashes with a feature name"):
+            save_csv(toy(), path, label_column=label, feature_names=names)
+        assert not path.exists()
+
     def test_no_feature_columns(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label\n1\n-1\n")

@@ -243,6 +243,30 @@ class TestRunExperiment:
         parallel = run_experiment(small_grid(jobs=2))
         assert table_to_json(parallel) == table_to_json(table)
 
+    @pytest.mark.parametrize("jobs, reps, pools", [(64, 2, [2]), (3, 1, []), (2, 3, [2]), (1, 2, [])])
+    def test_pool_capped_at_the_repetitions(self, table, monkeypatch, jobs, reps, pools):
+        # a fake executor: records its size and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        got = run_experiment(small_grid(jobs=jobs, reps=reps))
+        assert sizes == pools
+        want = table if reps == 2 else run_experiment(small_grid(reps=reps))
+        assert table_to_json(got) == table_to_json(want)  # the echo leaves jobs out
+
     def test_noise_levels_share_training_draw(self, table):
         # level 0 and level 0.2 reuse the same base train sample per rep, so
         # a stump at level 0 differing from level 0.2 can only come from the
