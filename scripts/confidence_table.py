@@ -19,6 +19,7 @@ from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, derive_seed
 from cbboost.synth import SCENARIOS, SynthSpec, generate
+from cbboost.util import parse_reals
 
 ESTIMATORS = (
     ("bayes", "consistent"),
@@ -27,11 +28,11 @@ ESTIMATORS = (
 )
 
 
-def one_cell(scenario, level, method, form, reps, n, base_seed):
+def one_cell(cfg, level, method, form):
     clean_means, noisy_means = [], []
-    for rep in range(reps):
-        train = generate(SynthSpec(scenario, n, derive_seed(base_seed, rep, "train")))
-        noisy, mask = inject_label_noise(train, level, derive_seed(base_seed, rep, f"noise@{level!r}"))
+    for rep in range(cfg.repetitions):
+        train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
+        noisy, mask = inject_label_noise(train, level, derive_seed(cfg.base_seed, rep, f"noise@{level!r}"))
         gamma, _ = estimate_confidence(noisy, method=method, noise_level=level, form=form or "consistent")
         stats = confidence_quality(gamma, mask)
         clean_means.append(stats["clean"].mean)
@@ -50,7 +51,7 @@ def fmt(v):
     return "n/a" if v is None else f"{v:.4f}"
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
     ap.add_argument("--noise-levels", default="0.1,0.2,0.3")
@@ -59,13 +60,27 @@ def main():
     ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args()
+    # the grid's config checks the flags it shares, with the messages cbboost gives
+    try:
+        run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def run(args):
+    cfg = ExperimentConfig(
+        scenario=args.scenario,
+        train_n=args.train_n,
+        noise_levels=parse_reals(args.noise_levels, "--noise-levels"),
+        repetitions=args.repetitions,
+        base_seed=args.seed,
+    )
     rows = [("estimator", "form", "noise_level", "clean_mean", "clean_std", "mislabeled_mean", "mislabeled_std")]
     for method, form in ESTIMATORS:
-        for level in (float(x) for x in args.noise_levels.split(",")):
-            cm, cs, nm, ns = one_cell(
-                args.scenario, level, method, form, args.repetitions, args.train_n, args.seed
-            )
+        for level in cfg.noise_levels:
+            cm, cs, nm, ns = one_cell(cfg, level, method, form)
             rows.append((method, form or "", level, cm, cs, nm, ns))
             label = method if form is None else f"{method}/{form}"
             print(
@@ -79,4 +94,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,6 +12,7 @@ CSV has one row per iteration, averaged over repetitions.
 
 import argparse
 import csv
+import sys
 
 import numpy as np
 
@@ -31,7 +32,7 @@ SERIES = (
 )
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
     ap.add_argument("--noise-level", type=float, default=0.1)
@@ -43,17 +44,33 @@ def main():
     ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     ap.add_argument("--out", default="traces.csv")
     args = ap.parse_args()
+    # the grid's config checks the flags it shares, with the messages cbboost gives
+    try:
+        run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
-    cfg = BoostConfig(max_iterations=args.iterations)
+
+def run(args):
+    cfg = ExperimentConfig(
+        scenario=args.scenario,
+        train_n=args.train_n,
+        noise_levels=(args.noise_level,),
+        repetitions=args.repetitions,
+        base_seed=args.seed,
+        confidence_method=args.confidence_method,
+        boost=BoostConfig(max_iterations=args.iterations),
+    )
+    (level,) = cfg.noise_levels
     runs = []
-    for rep in range(args.repetitions):
-        train = generate(SynthSpec(args.scenario, args.train_n, derive_seed(args.seed, rep, "train")))
-        noisy, mask = inject_label_noise(
-            train, args.noise_level, derive_seed(args.seed, rep, f"noise@{args.noise_level!r}")
-        )
-        gamma, _ = estimate_confidence(noisy, method=args.confidence_method, noise_level=args.noise_level)
-        _, tr_a = train_adaboost(noisy, cfg)
-        _, tr_c = train_cb_adaboost(noisy, gamma, cfg)
+    for rep in range(cfg.repetitions):
+        train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
+        noisy, mask = inject_label_noise(train, level, derive_seed(cfg.base_seed, rep, f"noise@{level!r}"))
+        gamma, _ = estimate_confidence(noisy, method=cfg.confidence_method, noise_level=level)
+        _, tr_a = train_adaboost(noisy, cfg.boost)
+        _, tr_c = train_cb_adaboost(noisy, gamma, cfg.boost)
         runs.append(
             {
                 "groups_ada": weight_trace_groups(tr_a, mask=mask),
@@ -81,4 +98,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -55,6 +55,7 @@ from .harness import (
     test_error,
 )
 from .synth import SCENARIOS, SynthSpec, generate
+from .util import parse_reals
 
 log = logging.getLogger("cbboost")
 
@@ -107,13 +108,6 @@ def _write_manifest(run: Written, command: str, t0: float) -> None:
     log.info("wrote manifest %s", path)
 
 
-def _parse_thresholds(text: str, flag: str) -> tuple:
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip() != "")
-    except ValueError:
-        raise ValueError(f"cannot parse {flag} {text!r}, expected comma-separated reals") from None
-
-
 def _parse_stop(text: str | None) -> dict:
     """--stop as the BoostConfig fields it sets; None (not given) sets none."""
     if text is None:
@@ -138,7 +132,7 @@ def _given(args, cls) -> dict:
         default = getattr(cls, name)
         if isinstance(default, tuple):
             flag = "--" + name.replace("_", "-")
-            given[name] = _parse_thresholds(text, flag) if isinstance(default[0], float) else tuple(text.split(","))
+            given[name] = parse_reals(text, flag) if isinstance(default[0], float) else tuple(text.split(","))
     return given
 
 
@@ -174,7 +168,7 @@ def cmd_noise(args) -> Written:
 
 def cmd_confidence(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
-    thresholds = _parse_thresholds(args.filter_thresholds, "--filter-thresholds")
+    thresholds = parse_reals(args.filter_thresholds, "--filter-thresholds")
     gamma, report = estimate_confidence(
         ds,
         method=args.method,

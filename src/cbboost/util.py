@@ -36,3 +36,11 @@ def real_number(value, what: str) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def parse_reals(text: str, flag: str) -> tuple:
+    """A flag's comma-separated reals as a tuple; blank entries are skipped."""
+    try:
+        return tuple(float(t) for t in text.split(",") if t.strip() != "")
+    except ValueError:
+        raise ValueError(f"cannot parse {flag} {text!r}, expected comma-separated reals") from None

@@ -68,3 +68,22 @@ def test_confidence_table_without_a_spread(tmp_path, level, reps):
         assert float(row["clean_mean"]) > 0.0
         assert (row["mislabeled_mean"] == "") == (level == "0")
         assert (row["clean_std"] == "") == (reps == "1")
+
+
+@pytest.mark.parametrize("name, flags, message", [
+    ("weight_traces.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
+    ("weight_traces.py", ["--noise-level", "0.7"], "noise levels must lie in [0, 0.5), got 0.7"),
+    ("weight_traces.py", ["--iterations", "0"], "max_iterations"),
+    ("confidence_table.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
+    ("confidence_table.py", ["--noise-levels", "0.2,abc"],
+     "cannot parse --noise-levels '0.2,abc', expected comma-separated reals"),
+    ("confidence_table.py", ["--noise-levels", "0.2,0.2"], "noise levels must not repeat"),
+])
+def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
+    # the settings a script shares with the grid are checked by ExperimentConfig
+    out = tmp_path / "out.csv"
+    proc = run_script(name, "--train-n", "40", *flags, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert proc.stdout == "" and not out.exists()
