@@ -44,7 +44,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     ap.add_argument("--out", default="traces.csv")
     args = ap.parse_args()
-    # the grid's config checks the flags it shares, with the messages cbboost gives
     try:
         run(args)
     except ValueError as exc:
@@ -54,6 +53,7 @@ def main() -> int:
 
 
 def run(args):
+    # the grid's config checks the settings a script shares with it, with cbboost's messages
     cfg = ExperimentConfig(
         scenario=args.scenario,
         train_n=args.train_n,
