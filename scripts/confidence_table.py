@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
+from cbboost.cli import given, reported
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, derive_seed
 from cbboost.synth import SCENARIOS, SynthSpec, generate
-from cbboost.util import parse_reals
 
 ESTIMATORS = (
     ("bayes", "consistent"),
@@ -53,30 +53,18 @@ def fmt(v):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
+    ap.add_argument("--scenario", choices=SCENARIOS)
     ap.add_argument("--noise-levels", default="0.1,0.2,0.3")
-    ap.add_argument("--repetitions", type=int, default=ExperimentConfig.repetitions)
-    ap.add_argument("--train-n", type=int, default=ExperimentConfig.train_n)
-    ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    ap.add_argument("--repetitions", type=int)
+    ap.add_argument("--train-n", type=int)
+    ap.add_argument("--seed", dest="base_seed", metavar="SEED", type=int)
     ap.add_argument("--out", default=None, help="optional CSV path")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return reported(run, ap.parse_args())
 
 
 def run(args):
     # the grid's config checks the settings a script shares with it, with cbboost's messages
-    cfg = ExperimentConfig(
-        scenario=args.scenario,
-        train_n=args.train_n,
-        noise_levels=parse_reals(args.noise_levels, "--noise-levels"),
-        repetitions=args.repetitions,
-        base_seed=args.seed,
-    )
+    cfg = ExperimentConfig(**given(args, ExperimentConfig))
     rows = [("estimator", "form", "noise_level", "clean_mean", "clean_std", "mislabeled_mean", "mislabeled_std")]
     for method, form in ESTIMATORS:
         for level in cfg.noise_levels:

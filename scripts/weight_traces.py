@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from cbboost.boost import BoostConfig, train_adaboost, train_cb_adaboost
+from cbboost.cli import given, reported
 from cbboost.confidence import CONFIDENCE_METHODS, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, derive_seed, weight_trace_groups
@@ -34,35 +35,22 @@ SERIES = (
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario", choices=SCENARIOS, default=ExperimentConfig.scenario)
+    ap.add_argument("--scenario", choices=SCENARIOS)
     ap.add_argument("--noise-level", type=float, default=0.1)
     ap.add_argument("--repetitions", type=int, default=10)
-    ap.add_argument("--train-n", type=int, default=ExperimentConfig.train_n)
-    ap.add_argument("--iterations", type=int, default=BoostConfig.max_iterations)
-    ap.add_argument("--confidence-method", choices=CONFIDENCE_METHODS, default=ExperimentConfig.confidence_method)
+    ap.add_argument("--train-n", type=int)
+    ap.add_argument("--iterations", dest="max_iterations", metavar="ITERATIONS", type=int)
+    ap.add_argument("--confidence-method", choices=CONFIDENCE_METHODS)
     ap.add_argument("--conf-cut", type=float, default=0.7)
-    ap.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    ap.add_argument("--seed", dest="base_seed", metavar="SEED", type=int)
     ap.add_argument("--out", default="traces.csv")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return reported(run, ap.parse_args())
 
 
 def run(args):
     # the grid's config checks the settings a script shares with it, with cbboost's messages
-    cfg = ExperimentConfig(
-        scenario=args.scenario,
-        train_n=args.train_n,
-        noise_levels=(args.noise_level,),
-        repetitions=args.repetitions,
-        base_seed=args.seed,
-        confidence_method=args.confidence_method,
-        boost=BoostConfig(max_iterations=args.iterations),
-    )
+    cfg = ExperimentConfig(noise_levels=(args.noise_level,), boost=BoostConfig(**given(args, BoostConfig)),
+                           **given(args, ExperimentConfig))
     (level,) = cfg.noise_levels
     runs = []
     for rep in range(cfg.repetitions):

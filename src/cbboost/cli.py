@@ -15,7 +15,8 @@ name as its dest and, where it has a default, the dataclass's default.
 Errors print as a single `error: ...` line on stderr with exit status 2
 (argument problems exit 2 via argparse as well). The CBBOOST_LOG environment
 variable (DEBUG/INFO/WARNING/...) controls log verbosity; any other value is
-rejected the same way.
+rejected the same way. The analysis scripts read their flags with `given`
+and report their errors with `reported`, as the commands here do.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _parse_stop(text: str | None) -> dict:
     raise ValueError(f"cannot parse stop rule {text!r}, expected fixed | consistency:A")
 
 
-def _given(args, cls) -> dict:
+def given(args, cls) -> dict:
     """The flags that were given and are named after a field of dataclass cls.
 
     A tuple field's flag, spelled after the field, takes comma-separated
@@ -197,7 +198,7 @@ def cmd_confidence(args) -> Written:
 
 def cmd_train(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
-    cfg = BoostConfig(**_given(args, BoostConfig), **_parse_stop(args.stop))
+    cfg = BoostConfig(**given(args, BoostConfig), **_parse_stop(args.stop))
     method = METHODS[args.algo]
     inputs = [args.infile]
     gamma = None
@@ -250,8 +251,8 @@ def cmd_bench(args) -> Written:
             cfg = config_from_echo(json.load(fh), args.config)
         inputs.append(args.config)
     # flags that were given override the file, which overrides the defaults
-    boost = replace(cfg.boost, **_given(args, BoostConfig), **_parse_stop(args.stop))
-    cfg = replace(cfg, boost=boost, **_given(args, ExperimentConfig))
+    boost = replace(cfg.boost, **given(args, BoostConfig), **_parse_stop(args.stop))
+    cfg = replace(cfg, boost=boost, **given(args, ExperimentConfig))
     os.makedirs(args.out_dir, exist_ok=True)
     log.info("bench grid: %s", cfg)
     table = run_experiment(cfg)
@@ -357,27 +358,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    setting = os.environ.get("CBBOOST_LOG", "WARNING")
-    level = setting.upper()
-    # getLevelName maps a known level name to its number, anything else to a str
-    if not isinstance(logging.getLevelName(level), int):
-        print(f"error: CBBOOST_LOG={setting!r} is not a log level, expected DEBUG, INFO, WARNING, "
-              "ERROR or CRITICAL", file=sys.stderr)
-        return 2
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def reported(run, *args) -> int:
+    """Exit status of run(*args): 2 after one `error:` line for a ValueError, OSError or LinAlgError, else 0."""
     try:
-        t0 = time.monotonic()
-        run = args.func(args)
-        if run is not None:
-            _write_manifest(run, args.command, t0)
-            if run.summary is not None:
-                print(run.summary)
+        run(*args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def _run(args) -> None:
+    setting = os.environ.get("CBBOOST_LOG", "WARNING")
+    level = setting.upper()
+    # getLevelName maps a known level name to its number, anything else to a str
+    if not isinstance(logging.getLevelName(level), int):
+        raise ValueError(f"CBBOOST_LOG={setting!r} is not a log level, expected DEBUG, INFO, WARNING, "
+                         "ERROR or CRITICAL")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    t0 = time.monotonic()
+    run = args.func(args)
+    if run is not None:
+        _write_manifest(run, args.command, t0)
+        if run.summary is not None:
+            print(run.summary)
+
+
+def main(argv=None) -> int:
+    return reported(_run, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

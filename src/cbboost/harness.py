@@ -189,12 +189,16 @@ def test_error(ensemble: Ensemble, test: Dataset) -> float:
     return float(np.mean(predict(ensemble, test.features) != test.labels))
 
 
-def run_disc(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: BoostConfig):
-    """Baseline: drop every row with confidence below threshold, then boost plainly."""
+def _check_baseline(train: Dataset, gamma: ConfidenceVector, threshold: float) -> None:
     if gamma.n != train.n:
         raise ValueError(f"gamma length {gamma.n} does not match {train.n} rows")
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
+def run_disc(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: BoostConfig):
+    """Baseline: drop every row with confidence below threshold, then boost plainly."""
+    _check_baseline(train, gamma, threshold)
     keep = gamma.gamma >= threshold
     n_keep = int(keep.sum())
     if n_keep < 2:
@@ -205,10 +209,7 @@ def run_disc(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: Boo
 
 def run_corr(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: BoostConfig):
     """Baseline: flip the label of every row with confidence below threshold, then boost."""
-    if gamma.n != train.n:
-        raise ValueError(f"gamma length {gamma.n} does not match {train.n} rows")
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    _check_baseline(train, gamma, threshold)
     flip = gamma.gamma < threshold
     labels = np.where(flip, -train.labels, train.labels)
     return train_adaboost(Dataset(train.features, labels), cfg)
@@ -277,7 +278,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
         for mspec in cfg.methods:
             name, thr = parse_method(mspec)
             if METHODS[name].needs_gamma and gamma is None:
-                out[(mspec, level)] = (None, None, gamma_err or "confidence unavailable")
+                out[(mspec, level)] = (None, None, gamma_err)
                 continue
             bcfg = replace(cfg.boost, seed=derive_seed(cfg.base_seed, rep, f"boost@{mspec}@{level!r}"))
             try:
@@ -320,8 +321,11 @@ def weight_trace_groups(trace, mask=None, gamma=None, conf_cut: float = 0.7) -> 
     With a noise mask: groups "clean" and "mislabeled". With a confidence
     vector: groups "high_certainty" and "low_certainty", split on
     max(gamma, 1 - gamma) > conf_cut (certainty means commitment either way,
-    so gamma near 0 is as certain as gamma near 1). Empty groups are omitted.
+    so gamma near 0 is as certain as gamma near 1). Certainty lies in
+    [0.5, 1], so conf_cut must lie in [0.5, 1). Empty groups are omitted.
     """
+    if not (0.5 <= conf_cut < 1.0):
+        raise ValueError(f"conf_cut must lie in [0.5, 1), got {conf_cut}")
     if not trace.rows:
         raise ValueError("trace has no recorded iterations")
     D = np.stack([row.sample_weights for row in trace.rows])

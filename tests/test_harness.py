@@ -367,6 +367,17 @@ class TestWeightTraceGroups:
         groups = weight_trace_groups(trace, mask=mask)
         assert set(groups) == {"clean"}
 
+    @pytest.mark.parametrize("cut", [0.49, 1.0, 5.0, float("nan")])
+    def test_cut_outside_the_certainty_range_rejected(self, cut):
+        # certainty lies in [0.5, 1], so such a cut would silently empty one group
+        trace, mask, gamma = self.make_trace()
+        with pytest.raises(ValueError, match=r"conf_cut must lie in \[0.5, 1\)"):
+            weight_trace_groups(trace, mask=mask, gamma=gamma, conf_cut=cut)
+
+    def test_lowest_cut_accepted(self):
+        trace, _, gamma = self.make_trace()
+        assert set(weight_trace_groups(trace, gamma=gamma, conf_cut=0.5)) == {"high_certainty"}
+
     def test_empty_trace_rejected(self):
         X = np.array([[0.0], [0.0]])
         _, trace = train_adaboost(Dataset(X, [1, -1]))  # aborts with no rounds

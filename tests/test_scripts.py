@@ -74,6 +74,7 @@ def test_confidence_table_without_a_spread(tmp_path, level, reps):
     ("weight_traces.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
     ("weight_traces.py", ["--noise-level", "0.7"], "noise levels must lie in [0, 0.5), got 0.7"),
     ("weight_traces.py", ["--iterations", "0"], "max_iterations"),
+    ("weight_traces.py", ["--conf-cut", "5"], "conf_cut"),
     ("confidence_table.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
     ("confidence_table.py", ["--noise-levels", "0.2,abc"],
      "cannot parse --noise-levels '0.2,abc', expected comma-separated reals"),
@@ -87,3 +88,16 @@ def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("weight_traces.py", ["--iterations", "3"]),
+    ("confidence_table.py", ["--noise-levels", "0.2"]),
+])
+def test_unwritable_out_fails_in_one_line(tmp_path, name, flags):
+    # the write fails after every repetition has run; confidence_table has printed its rows by then
+    proc = run_script(name, "--train-n", "40", "--repetitions", "1", *flags,
+                      "--out", str(tmp_path / "missing" / "out.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
