@@ -74,11 +74,11 @@ def test_confidence_table_without_a_spread(tmp_path, level, reps):
     ("weight_traces.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
     ("weight_traces.py", ["--noise-level", "0.7"], "noise levels must lie in [0, 0.5), got 0.7"),
     ("weight_traces.py", ["--iterations", "0"], "max_iterations"),
-    ("weight_traces.py", ["--conf-cut", "5"], "conf_cut"),
     ("confidence_table.py", ["--repetitions", "0"], "need at least 1 repetition, got 0"),
     ("confidence_table.py", ["--noise-levels", "0.2,abc"],
      "cannot parse --noise-levels '0.2,abc', expected comma-separated reals"),
     ("confidence_table.py", ["--noise-levels", "0.2,0.2"], "noise levels must not repeat"),
+    ("weight_traces.py", ["--conf-cut", "5"], "conf_cut"),
 ])
 def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
     # the settings a script shares with the grid are checked by ExperimentConfig
