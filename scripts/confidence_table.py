@@ -10,6 +10,7 @@ the downstream booster robust.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -66,18 +67,20 @@ def run(args):
     # the grid's config checks the settings a script shares with it, with cbboost's messages
     cfg = ExperimentConfig(**given(args, ExperimentConfig))
     rows = [("estimator", "form", "noise_level", "clean_mean", "clean_std", "mislabeled_mean", "mislabeled_std")]
-    for method, form in ESTIMATORS:
-        for level in cfg.noise_levels:
-            cm, cs, nm, ns = one_cell(cfg, level, method, form)
-            rows.append((method, form or "", level, cm, cs, nm, ns))
-            label = method if form is None else f"{method}/{form}"
-            print(
-                f"{label:<20} @{level:>4} : clean {fmt(cm)} +/- {fmt(cs)}   "
-                f"mislabeled {fmt(nm)} +/- {fmt(ns)}"
-            )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    # opened before the first draw, so a path that cannot be written fails before any work
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+        for method, form in ESTIMATORS:
+            for level in cfg.noise_levels:
+                cm, cs, nm, ns = one_cell(cfg, level, method, form)
+                rows.append((method, form or "", level, cm, cs, nm, ns))
+                label = method if form is None else f"{method}/{form}"
+                print(
+                    f"{label:<20} @{level:>4} : clean {fmt(cm)} +/- {fmt(cs)}   "
+                    f"mislabeled {fmt(nm)} +/- {fmt(ns)}"
+                )
+        if fh is not None:
             csv.writer(fh).writerows(rows)
+    if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
 
 

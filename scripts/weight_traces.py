@@ -20,7 +20,7 @@ from cbboost.boost import BoostConfig, train_adaboost, train_cb_adaboost
 from cbboost.cli import given, reported
 from cbboost.confidence import CONFIDENCE_METHODS, estimate_confidence
 from cbboost.dataset import inject_label_noise
-from cbboost.harness import ExperimentConfig, derive_seed, weight_trace_groups
+from cbboost.harness import ExperimentConfig, check_conf_cut, derive_seed, weight_trace_groups
 from cbboost.synth import SCENARIOS, SynthSpec, generate
 
 SERIES = (
@@ -51,29 +51,31 @@ def run(args):
     # the grid's config checks the settings a script shares with it, with cbboost's messages
     cfg = ExperimentConfig(noise_levels=(args.noise_level,), boost=BoostConfig(**given(args, BoostConfig)),
                            **given(args, ExperimentConfig))
+    check_conf_cut(args.conf_cut)
     (level,) = cfg.noise_levels
-    runs = []
-    for rep in range(cfg.repetitions):
-        train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
-        noisy, mask = inject_label_noise(train, level, derive_seed(cfg.base_seed, rep, f"noise@{level!r}"))
-        gamma, _ = estimate_confidence(noisy, method=cfg.confidence_method, noise_level=level)
-        _, tr_a = train_adaboost(noisy, cfg.boost)
-        _, tr_c = train_cb_adaboost(noisy, gamma, cfg.boost)
-        runs.append(
-            {
-                "groups_ada": weight_trace_groups(tr_a, mask=mask),
-                "groups_cb": weight_trace_groups(tr_c, mask=mask, gamma=gamma, conf_cut=args.conf_cut),
-            }
-        )
-    m = min(
-        min(len(r[src][key]) for name, src, key in SERIES if key in r[src]) for r in runs
-    )
-    table = {"iteration": np.arange(1, m + 1)}
-    for name, src, key in SERIES:
-        stacks = [r[src][key][:m] for r in runs if key in r[src]]
-        if stacks:
-            table[name] = np.mean(stacks, axis=0)
+    # opened before the first draw, so a path that cannot be written fails before any work
     with open(args.out, "w", newline="") as fh:
+        runs = []
+        for rep in range(cfg.repetitions):
+            train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
+            noisy, mask = inject_label_noise(train, level, derive_seed(cfg.base_seed, rep, f"noise@{level!r}"))
+            gamma, _ = estimate_confidence(noisy, method=cfg.confidence_method, noise_level=level)
+            _, tr_a = train_adaboost(noisy, cfg.boost)
+            _, tr_c = train_cb_adaboost(noisy, gamma, cfg.boost)
+            runs.append(
+                {
+                    "groups_ada": weight_trace_groups(tr_a, mask=mask),
+                    "groups_cb": weight_trace_groups(tr_c, mask=mask, gamma=gamma, conf_cut=args.conf_cut),
+                }
+            )
+        m = min(
+            min(len(r[src][key]) for name, src, key in SERIES if key in r[src]) for r in runs
+        )
+        table = {"iteration": np.arange(1, m + 1)}
+        for name, src, key in SERIES:
+            stacks = [r[src][key][:m] for r in runs if key in r[src]]
+            if stacks:
+                table[name] = np.mean(stacks, axis=0)
         writer = csv.writer(fh)
         writer.writerow(table.keys())
         for i in range(m):

@@ -95,9 +95,9 @@ class BoostConfig:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.learner_mode not in LEARNER_MODES:
-            raise ValueError(f"learner_mode must be 'weighted' or 'resample', got {self.learner_mode!r}")
+            raise ValueError(f"learner_mode must be {' or '.join(map(repr, LEARNER_MODES))}, got {self.learner_mode!r}")
         if self.stop_rule not in STOP_RULES:
-            raise ValueError(f"stop_rule must be 'fixed' or 'consistency', got {self.stop_rule!r}")
+            raise ValueError(f"stop_rule must be {' or '.join(map(repr, STOP_RULES))}, got {self.stop_rule!r}")
         if not (0.0 < self.consistency_a < 1.0):
             raise ValueError(f"consistency_a must lie in (0, 1), got {self.consistency_a}")
         if not (0.0 < self.epsilon_clamp < 0.5):
@@ -150,8 +150,7 @@ class BoostTrace:
     training itself holds O(n) memory; len(rows) needs no replay. A trace
     built by hand takes its rows as given.
 
-    stop_reason is one of STOP_REASONS, and stopped_early is true exactly
-    when it is not "budget"; a trace built by hand may leave it None.
+    stop_reason is one of STOP_REASONS.
     """
 
     rows: Sequence[TraceRow]
@@ -159,14 +158,11 @@ class BoostTrace:
     final_w_flipped: np.ndarray
     observed_labels: np.ndarray
     epsilon_clamp: float
-    stopped_early: bool
-    stop_reason: str | None = None
+    stop_reason: str
 
     def __post_init__(self):
-        if self.stop_reason is not None and (
-            self.stop_reason not in STOP_REASONS or self.stopped_early != (self.stop_reason != "budget")
-        ):
-            raise ValueError(f"stop_reason {self.stop_reason!r} does not fit stopped_early={self.stopped_early}")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
         object.__setattr__(self, "final_w_observed", frozen(self.final_w_observed, dtype=np.float64))
         object.__setattr__(self, "final_w_flipped", frozen(self.final_w_flipped, dtype=np.float64))
         object.__setattr__(self, "observed_labels", frozen(self.observed_labels, dtype=np.int64))
@@ -174,6 +170,11 @@ class BoostTrace:
     @property
     def iterations(self) -> int:
         return len(self.rows)
+
+    @property
+    def stopped_early(self) -> bool:
+        """True when the run ended before its iteration cap."""
+        return self.stop_reason != "budget"
 
     @property
     def final_risk(self) -> float:
@@ -342,7 +343,6 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
         final_w_flipped=np.zeros(train.n) if w_flip is None else w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
-        stopped_early=stop_reason != "budget",
         stop_reason=stop_reason,
     )
     log.debug(

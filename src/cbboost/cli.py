@@ -207,7 +207,7 @@ def cmd_train(args) -> Written:
             raise ValueError(f"--algo {args.algo} requires --gamma")
         gamma = read_gamma_csv(args.gamma)
         inputs.append(args.gamma)
-    ensemble, stop_reason, final_risk = fit_method(args.algo, args.threshold, ds, gamma, cfg)
+    ensemble, trace = fit_method(args.algo, args.threshold, ds, gamma, cfg)
     config = {
         "algo": args.algo,
         "iterations": cfg.max_iterations,
@@ -221,7 +221,7 @@ def cmd_train(args) -> Written:
     save_ensemble(ensemble, args.out, config)
     return Written(config=config, seeds={"seed": cfg.seed}, inputs=inputs, outputs=[args.out],
                    summary=f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})",
-                   result={"stop_reason": stop_reason, "rounds": len(ensemble), "final_risk": final_risk})
+                   result={"stop_reason": trace.stop_reason, "rounds": len(ensemble), "final_risk": trace.final_risk})
 
 
 def cmd_eval(args) -> Written | None:

@@ -34,6 +34,7 @@ re-searched rows).
 
 from __future__ import annotations
 
+import csv
 import itertools
 import logging
 import time
@@ -359,7 +360,7 @@ def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str 
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if form not in FORMS:
-        raise ValueError(f"form must be 'consistent' or 'paper-literal', got {form!r}")
+        raise ValueError(f"form must be {' or '.join(map(repr, FORMS))}, got {form!r}")
     return thresholds
 
 
@@ -611,7 +612,9 @@ def estimate_confidence(
     check_settings(k=k, thresholds=thresholds)
     # rejected before the table search, which dominates the cost of a call
     if method not in CONFIDENCE_METHODS:
-        raise ValueError(f"unknown confidence method {method!r}, expected 'knn' or 'bayes'")
+        raise ValueError(
+            f"unknown confidence method {method!r}, expected {' or '.join(map(repr, CONFIDENCE_METHODS))}"
+        )
     if method == "bayes" and noise_level is None:
         raise ValueError("bayes confidence requires a noise_level")
     nb = _neighbours_for(ds, neighbours, k, standardize)
@@ -655,10 +658,8 @@ def write_gamma_csv(gamma: ConfidenceVector, path) -> None:
 
 
 def read_gamma_csv(path) -> ConfidenceVector:
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -172,22 +172,19 @@ def load_csv(path, label_column: str = "label", positive_label: str = "1") -> Da
     return Dataset(np.asarray(rows, dtype=np.float64), y)
 
 
-def save_csv(ds: Dataset, path, label_column: str = "label", feature_names=None) -> None:
-    """Write a Dataset to CSV with a header row.
+def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
+    """Write a Dataset to CSV with a header row x1..xp, then the label column.
 
     Floats are written with repr so that load_csv(save_csv(ds)) round-trips
     every value exactly; labels are written as 1 / -1.
     """
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(ds.p)]
-    if len(feature_names) != ds.p:
-        raise ValueError(f"{len(feature_names)} feature names for {ds.p} columns")
+    feature_names = [f"x{j + 1}" for j in range(ds.p)]
     # load_csv could not tell the label from a feature of the same name
     if label_column in feature_names:
-        raise ValueError(f"label column {label_column!r} clashes with a feature name in {list(feature_names)}")
+        raise ValueError(f"label column {label_column!r} clashes with a feature name in {feature_names}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + [label_column])
+        writer.writerow(feature_names + [label_column])
         for i in range(ds.n):
             writer.writerow([repr(float(v)) for v in ds.features[i]] + [str(int(ds.labels[i]))])
 

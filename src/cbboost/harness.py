@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, Ensemble, predict, train_adaboost, train_cb_adaboost
+from .boost import BoostConfig, BoostTrace, Ensemble, predict, train_adaboost, train_cb_adaboost
 from .confidence import (
     CONFIDENCE_METHODS,
     DEFAULT_K,
@@ -45,9 +45,9 @@ __all__ = [
     "run_disc",
     "run_corr",
     "METHODS",
-    "Fit",
     "fit_method",
     "run_experiment",
+    "check_conf_cut",
     "weight_trace_groups",
     "table_to_json",
     "config_from_echo",
@@ -121,7 +121,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be 'normal' or 'sine', got {self.scenario!r}")
+            raise ValueError(f"scenario must be {' or '.join(map(repr, SCENARIOS))}, got {self.scenario!r}")
         if self.train_n < 2 or self.test_n < 2:
             raise ValueError(f"need train_n >= 2 and test_n >= 2, got {self.train_n}/{self.test_n}")
         if self.repetitions < 1:
@@ -135,7 +135,10 @@ class ExperimentConfig:
         if len(set(self.noise_levels)) < len(self.noise_levels):
             raise ValueError(f"noise levels must not repeat, got {self.noise_levels}")
         if self.confidence_method not in CONFIDENCE_METHODS:
-            raise ValueError(f"confidence_method must be 'knn' or 'bayes', got {self.confidence_method!r}")
+            raise ValueError(
+                f"confidence_method must be {' or '.join(map(repr, CONFIDENCE_METHODS))}, "
+                f"got {self.confidence_method!r}"
+            )
         check_settings(self.k, self.filter_thresholds, self.confidence_form)
         specs = [parse_method(m) for m in self.methods]
         if len(set(specs)) < len(specs):
@@ -215,36 +218,23 @@ def run_corr(train: Dataset, gamma: ConfidenceVector, threshold: float, cfg: Boo
     return train_adaboost(Dataset(train.features, labels), cfg)
 
 
-class Fit(NamedTuple):
-    """A trained model with why its run stopped and its final two-sided risk."""
-
-    ensemble: Ensemble
-    stop_reason: str
-    final_risk: float
-
-
 def fit_method(name: str, thr: float | None, train: Dataset, gamma: ConfidenceVector | None,
-               cfg: BoostConfig) -> Fit:
+               cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
     """Train method `name` of METHODS; the grid and the CLI both train here.
 
-    The trainers are read from this module's globals at call time, so a
-    wrapper installed on harness.train_adaboost and friends sees every call.
+    Returns the trainer's own (ensemble, trace). The trainers are read from
+    this module's globals at call time, so a wrapper installed on
+    harness.train_adaboost and friends sees every call.
     """
     if name == "stump":
         cfg = replace(cfg, max_iterations=1)
     if not METHODS[name].needs_gamma:
-        ens, trace = train_adaboost(train, cfg)
-    elif name == "cb":
-        ens, trace = train_cb_adaboost(train, gamma, cfg)
-    elif name == "disc":
-        ens, trace = run_disc(train, gamma, thr, cfg)
-    else:
-        ens, trace = run_corr(train, gamma, thr, cfg)
-    return Fit(ens, trace.stop_reason, trace.final_risk)
-
-
-def _needs_gamma(methods) -> bool:
-    return any(METHODS[parse_method(m)[0]].needs_gamma for m in methods)
+        return train_adaboost(train, cfg)
+    if name == "cb":
+        return train_cb_adaboost(train, gamma, cfg)
+    if name == "disc":
+        return run_disc(train, gamma, thr, cfg)
+    return run_corr(train, gamma, thr, cfg)
 
 
 def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
@@ -252,6 +242,8 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
     out = {}
     test = generate(SynthSpec(cfg.scenario, cfg.test_n, derive_seed(cfg.base_seed, rep, "test")))
     train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))
+    specs = [(mspec, *parse_method(mspec)) for mspec in cfg.methods]
+    needs_gamma = any(METHODS[name].needs_gamma for _, name, _ in specs)
     nb = None
     for level in cfg.noise_levels:
         level = float(level)
@@ -260,7 +252,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
         )
         gamma = None
         gamma_err = None
-        if _needs_gamma(cfg.methods):
+        if needs_gamma:
             try:
                 if nb is None:
                     nb = Neighbours(train.features, cfg.k)
@@ -275,14 +267,13 @@ def _run_repetition(cfg: ExperimentConfig, rep: int) -> dict:
                 )
             except (ValueError, np.linalg.LinAlgError) as exc:
                 gamma_err = f"confidence failed: {exc}"
-        for mspec in cfg.methods:
-            name, thr = parse_method(mspec)
+        for mspec, name, thr in specs:
             if METHODS[name].needs_gamma and gamma is None:
                 out[(mspec, level)] = (None, None, gamma_err)
                 continue
             bcfg = replace(cfg.boost, seed=derive_seed(cfg.base_seed, rep, f"boost@{mspec}@{level!r}"))
             try:
-                ens = fit_method(name, thr, noisy, gamma, bcfg).ensemble
+                ens, _ = fit_method(name, thr, noisy, gamma, bcfg)
                 out[(mspec, level)] = (test_error(ens, test), len(ens), None)
             except ValueError as exc:
                 out[(mspec, level)] = (None, None, f"{name} failed: {exc}")
@@ -315,17 +306,22 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     return ResultsTable(config=cfg, cells=cells)
 
 
+def check_conf_cut(conf_cut: float) -> None:
+    """Certainty, max(gamma, 1 - gamma), lies in [0.5, 1], so a cut splitting it must lie in [0.5, 1)."""
+    if not (0.5 <= conf_cut < 1.0):
+        raise ValueError(f"conf_cut must lie in [0.5, 1), got {conf_cut}")
+
+
 def weight_trace_groups(trace, mask=None, gamma=None, conf_cut: float = 0.7) -> dict:
     """Mean sampling weight per iteration for diagnostic instance groups.
 
     With a noise mask: groups "clean" and "mislabeled". With a confidence
     vector: groups "high_certainty" and "low_certainty", split on
     max(gamma, 1 - gamma) > conf_cut (certainty means commitment either way,
-    so gamma near 0 is as certain as gamma near 1). Certainty lies in
-    [0.5, 1], so conf_cut must lie in [0.5, 1). Empty groups are omitted.
+    so gamma near 0 is as certain as gamma near 1); conf_cut passes
+    check_conf_cut. Empty groups are omitted.
     """
-    if not (0.5 <= conf_cut < 1.0):
-        raise ValueError(f"conf_cut must lie in [0.5, 1), got {conf_cut}")
+    check_conf_cut(conf_cut)
     if not trace.rows:
         raise ValueError("trace has no recorded iterations")
     D = np.stack([row.sample_weights for row in trace.rows])

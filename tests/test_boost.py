@@ -400,7 +400,7 @@ class TestPropositionChecker:
             final_w_flipped=np.array([0.1, 0.2]),
             observed_labels=np.array([1, -1]),
             epsilon_clamp=1e-12,
-            stopped_early=False,
+            stop_reason="budget",
         )
 
     def test_corrupted_trace_reported(self):

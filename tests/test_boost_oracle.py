@@ -34,11 +34,11 @@ def oracle_train_adaboost(train, cfg=BoostConfig()):
     zeros = np.zeros(n)
     rows = []
     terms = []
-    stopped_early = False
+    stop_reason = "budget"
     for _ in range(cfg.iteration_cap(n)):
         S = float(np.sum(w))
         if not np.isfinite(S) or S <= 0.0:
-            stopped_early = True
+            stop_reason = "weight mass not finite or zero"
             break
         D = w / S
         stump = boost._fit_weak(X, y, D, cfg, rng)
@@ -48,7 +48,7 @@ def oracle_train_adaboost(train, cfg=BoostConfig()):
         wrong_mass = float(np.sum(w[wrong]))
         beta, raw_err = boost._vote_from_sums(right_mass, wrong_mass, cfg.epsilon_clamp)
         if beta <= 0.0:
-            stopped_early = True
+            stop_reason = "nonpositive vote"
             break
         w_new = w * np.exp(-(y * beta) * h)
         rows.append(
@@ -71,7 +71,7 @@ def oracle_train_adaboost(train, cfg=BoostConfig()):
         final_w_flipped=zeros,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
-        stopped_early=stopped_early,
+        stop_reason=stop_reason,
     )
     return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace
 
@@ -177,6 +177,7 @@ def test_stop_reason_and_debug_line(ds, rounds, reason, caplog):
 
 
 def test_stop_reason_must_fit_stopped_early():
+    # stopped_early is derived from stop_reason, so the two cannot disagree
     fields = dict(
         rows=(),
         final_w_observed=np.ones(2),
@@ -184,10 +185,10 @@ def test_stop_reason_must_fit_stopped_early():
         observed_labels=np.array([1, -1]),
         epsilon_clamp=1e-12,
     )
-    assert BoostTrace(**fields, stopped_early=True, stop_reason="nonpositive vote").stopped_early
-    for early, reason in ((True, "budget"), (False, "nonpositive vote"), (True, "tired")):
-        with pytest.raises(ValueError, match="stop_reason"):
-            BoostTrace(**fields, stopped_early=early, stop_reason=reason)
+    assert not BoostTrace(**fields, stop_reason="budget").stopped_early
+    assert BoostTrace(**fields, stop_reason="nonpositive vote").stopped_early
+    with pytest.raises(ValueError, match="stop_reason"):
+        BoostTrace(**fields, stop_reason="tired")
 
 
 def eager_boost(train, g, cfg=BoostConfig()):
@@ -249,7 +250,6 @@ def eager_boost(train, g, cfg=BoostConfig()):
         final_w_flipped=w_flip,
         observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
-        stopped_early=stop_reason != "budget",
         stop_reason=stop_reason,
     )
     return Ensemble(terms=tuple(terms), stopped_at=len(terms)), trace

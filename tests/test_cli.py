@@ -136,14 +136,14 @@ def test_train_matches_library_dispatch(pipeline, capsys, algo):
         "--threshold", "0.3", "--iterations", "8", "--mode", "resample", "--seed", "5",
     )
     ens, _ = load_ensemble(model)
-    want = fit_method(
+    want, _ = fit_method(
         algo,
         0.3 if METHODS[algo].takes_threshold else None,
         load_csv(pipeline / "noisy.csv"),
         read_gamma_csv(pipeline / "gamma.csv"),
         BoostConfig(max_iterations=8, learner_mode="resample", seed=5),
     )
-    assert ens.terms == want.ensemble.terms and ens.stopped_at == want.ensemble.stopped_at
+    assert ens.terms == want.terms and ens.stopped_at == want.stopped_at
     assert len(ens) == (1 if algo == "stump" else 8)
 
 

@@ -114,11 +114,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="label column 'x1' appears more than once in header"):
             load_csv(path, label_column="x1")
 
-    @pytest.mark.parametrize("label, names", [("x1", None), ("b", ["a", "b"])])
-    def test_save_rejects_label_named_like_a_feature(self, tmp_path, label, names):
+    @pytest.mark.parametrize("label", ["x1", "x2"])
+    def test_save_rejects_label_named_like_a_feature(self, tmp_path, label):
         path = tmp_path / "d.csv"
         with pytest.raises(ValueError, match=f"label column '{label}' clashes with a feature name"):
-            save_csv(toy(), path, label_column=label, feature_names=names)
+            save_csv(toy(), path, label_column=label)
         assert not path.exists()
 
     def test_no_feature_columns(self, tmp_path):

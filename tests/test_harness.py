@@ -30,6 +30,7 @@ from cbboost.harness import (
 )
 from cbboost.harness import test_error as holdout_error
 from cbboost.stump import Stump
+from cbboost.synth import SynthSpec, generate
 
 
 class TestDeriveSeed:
@@ -448,6 +449,67 @@ def test_every_grid_trainer_call_goes_through_harness_names(monkeypatch):
     cells = cfg.repetitions * len(cfg.noise_levels)
     assert calls == {"train_adaboost": 4 * cells, "train_cb_adaboost": cells, "engine": 5 * cells}
     assert sorted(METHODS) == sorted(parse_method(m)[0] for m in cfg.methods)
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_fit_method_returns_its_trainers_run(name):
+    train = generate(SynthSpec("normal", 80, 11))
+    noisy, _ = inject_label_noise(train, 0.2, seed=12)
+    gamma, _ = confidence.estimate_confidence(noisy)
+    cfg = BoostConfig(max_iterations=6)
+    ens, trace = harness.fit_method(name, 0.5 if METHODS[name].takes_threshold else None, noisy, gamma, cfg)
+    want_ens, want_trace = {
+        "stump": lambda: train_adaboost(noisy, replace(cfg, max_iterations=1)),
+        "adaboost": lambda: train_adaboost(noisy, cfg),
+        "cb": lambda: train_cb_adaboost(noisy, gamma, cfg),
+        "disc": lambda: run_disc(noisy, gamma, 0.5, cfg),
+        "corr": lambda: run_corr(noisy, gamma, 0.5, cfg),
+    }[name]()
+    assert ens.terms == want_ens.terms
+    assert trace.stop_reason == want_trace.stop_reason
+    assert trace.final_risk.hex() == want_trace.final_risk.hex()
+    assert len(trace.rows) == len(want_trace.rows)
+
+
+def test_each_method_spec_is_parsed_once_per_repetition(monkeypatch):
+    cfg = ExperimentConfig(
+        train_n=40, test_n=50, noise_levels=(0.0, 0.1, 0.2, 0.3), methods=("adaboost", "cb", "disc:0.5"),
+        repetitions=2, base_seed=3, boost=BoostConfig(max_iterations=3),
+    )
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return parse_method(spec)
+
+    monkeypatch.setattr(harness, "parse_method", counting)
+    run_experiment(cfg)
+    assert len(calls) == cfg.repetitions * len(cfg.methods)
+
+
+@pytest.mark.parametrize("module, choices, make, text", [
+    (boost, "LEARNER_MODES", lambda v: BoostConfig(learner_mode=v),
+     "learner_mode must be 'weighted' or 'resample', got 'bogus'"),
+    (boost, "STOP_RULES", lambda v: BoostConfig(stop_rule=v),
+     "stop_rule must be 'fixed' or 'consistency', got 'bogus'"),
+    (harness, "SCENARIOS", lambda v: ExperimentConfig(scenario=v),
+     "scenario must be 'normal' or 'sine', got 'bogus'"),
+    (harness, "CONFIDENCE_METHODS", lambda v: ExperimentConfig(confidence_method=v),
+     "confidence_method must be 'knn' or 'bayes', got 'bogus'"),
+    (confidence, "FORMS", lambda v: confidence.check_settings(form=v),
+     "form must be 'consistent' or 'paper-literal', got 'bogus'"),
+    (confidence, "CONFIDENCE_METHODS",
+     lambda v: confidence.estimate_confidence(Dataset(np.arange(8.0).reshape(4, 2), [1, -1, 1, -1]), method=v),
+     "unknown confidence method 'bogus', expected 'knn' or 'bayes'"),
+], ids=["learner_mode", "stop_rule", "scenario", "confidence_method", "form", "estimate_method"])
+def test_choice_messages_read_their_tuple(monkeypatch, module, choices, make, text):
+    # the tuple is patched where the check reads it
+    with pytest.raises(ValueError) as exc:
+        make("bogus")
+    assert str(exc.value) == text
+    monkeypatch.setattr(module, choices, getattr(module, choices) + ("extra",))
+    with pytest.raises(ValueError, match="'extra'"):
+        make("bogus")
 
 
 class TestOneTablePerRepetition:

@@ -1,6 +1,7 @@
 """Smoke runs of the analysis scripts at tiny sizes."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -95,9 +96,38 @@ def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
     ("confidence_table.py", ["--noise-levels", "0.2"]),
 ])
 def test_unwritable_out_fails_in_one_line(tmp_path, name, flags):
-    # the write fails after every repetition has run; confidence_table has printed its rows by then
+    # the script opens --out before its first repetition, so it fails before printing any row
     proc = run_script(name, "--train-n", "40", "--repetitions", "1", *flags,
                       "--out", str(tmp_path / "missing" / "out.csv"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, flags, missing_out", [
+    ("weight_traces.py", ["--iterations", "3"], True),
+    ("confidence_table.py", ["--noise-levels", "0.2"], True),
+    ("weight_traces.py", ["--iterations", "3", "--conf-cut", "5"], False),
+])
+def test_bad_out_or_cut_fails_before_any_draw(tmp_path, monkeypatch, capsys, name, flags, missing_out):
+    # every repetition starts with a draw, so no draw means no repetition ran
+    script = load_script(name)
+    real, draws = script.generate, []
+
+    def counting(spec):
+        draws.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(script, "generate", counting)
+    out = tmp_path / "missing" / "out.csv" if missing_out else tmp_path / "out.csv"
+    monkeypatch.setattr(sys, "argv", [name, "--train-n", "40", "--repetitions", "1", *flags, "--out", str(out)])
+    assert script.main() == 2
+    assert draws == []
+    assert capsys.readouterr().err.startswith("error: ")
