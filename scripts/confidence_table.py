@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from cbboost.cli import given, reported
+from cbboost.cli import given, replacing, reported
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, derive_seed
@@ -68,7 +68,7 @@ def run(args):
     cfg = ExperimentConfig(**given(args, ExperimentConfig))
     rows = [("estimator", "form", "noise_level", "clean_mean", "clean_std", "mislabeled_mean", "mislabeled_std")]
     # opened before the first draw, so a path that cannot be written fails before any work
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+    with replacing(args.out) if args.out else contextlib.nullcontext() as fh:
         for method, form in ESTIMATORS:
             for level in cfg.noise_levels:
                 cm, cs, nm, ns = one_cell(cfg, level, method, form)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from cbboost.boost import BoostConfig, train_adaboost, train_cb_adaboost
-from cbboost.cli import given, reported
+from cbboost.cli import given, replacing, reported
 from cbboost.confidence import CONFIDENCE_METHODS, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, check_conf_cut, derive_seed, weight_trace_groups
@@ -54,7 +54,7 @@ def run(args):
     check_conf_cut(args.conf_cut)
     (level,) = cfg.noise_levels
     # opened before the first draw, so a path that cannot be written fails before any work
-    with open(args.out, "w", newline="") as fh:
+    with replacing(args.out) as fh:
         runs = []
         for rep in range(cfg.repetitions):
             train = generate(SynthSpec(cfg.scenario, cfg.train_n, derive_seed(cfg.base_seed, rep, "train")))

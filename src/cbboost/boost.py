@@ -22,6 +22,14 @@ returned trace records why the run stopped and rebuilds the full
 per-iteration record on demand, for diagnostics and invariant checks, by
 rerunning the same loop with the recorded stumps in place of the weak
 learner.
+
+Scoring is by cell. The sorted distinct thresholds an ensemble uses on each
+feature cut the input space into cells, and every row of a cell passes the
+same stump tests, so the term-by-term sum runs once per cell, on one
+representative point, and each row gathers its cell's score. Each row thus
+adds the same terms in the same order as summing it directly would, and its
+score is bit-identical. An input with more cells than rows is summed row by
+row.
 """
 
 from __future__ import annotations
@@ -203,6 +211,16 @@ class Ensemble:
         return len(self.terms)
 
 
+def _term_scores(terms, X: np.ndarray) -> np.ndarray:
+    # the scoring arithmetic: each row adds its terms' signed votes in order
+    out = np.zeros(X.shape[0], dtype=np.float64)
+    for beta, stump in terms:
+        # beta * +-1 == +-beta exactly, so this adds what beta * stump.predict(X) would
+        v = beta * stump.polarity
+        out += np.where(X[:, stump.feature] > stump.threshold, v, -v)
+    return out
+
+
 def _raw_score(ensemble: Ensemble, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -210,12 +228,25 @@ def _raw_score(ensemble: Ensemble, X) -> np.ndarray:
     bad = next((s.feature for _, s in ensemble.terms if s.feature >= X.shape[1]), None)
     if bad is not None:
         raise ValueError(f"stump uses feature {bad} but matrix has {X.shape[1]} columns")
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    for beta, stump in ensemble.terms:
-        # beta * +-1 == +-beta exactly, so this adds what beta * stump.predict(X) would
-        v = beta * stump.polarity
-        out += np.where(X[:, stump.feature] > stump.threshold, v, -v)
-    return out
+    # the sorted distinct thresholds on each used feature cut the space into
+    # cells; every row of a cell meets the same side of every stump
+    feature = np.array([s.feature for _, s in ensemble.terms], dtype=np.intp)
+    threshold = np.array([s.threshold for _, s in ensemble.terms], dtype=np.float64)
+    used = np.unique(feature)
+    cuts = [np.unique(threshold[feature == f]) for f in used]
+    shape = tuple(c.size + 1 for c in cuts)
+    cells = math.prod(shape)
+    # more cells than rows (wide p, few rows) or no terms at all: score the rows
+    if cells > X.shape[0] or not cuts:
+        return _term_scores(ensemble.terms, X)
+    # a cell's representative sits on its upper threshold on each used feature
+    # (+inf above the last), so it passes exactly the tests its rows pass
+    reps = np.zeros((cells, X.shape[1]))
+    for f, axis in zip(used, np.meshgrid(*(np.append(c, np.inf) for c in cuts), indexing="ij")):
+        reps[:, f] = axis.ravel()
+    # NaN fails every x > t, as -inf does; searchsorted would put it above them all
+    at = [np.searchsorted(c, np.where(np.isnan(X[:, f]), -np.inf, X[:, f]), side="left") for f, c in zip(used, cuts)]
+    return _term_scores(ensemble.terms, reps)[np.ravel_multi_index(at, shape)]
 
 
 def score(ensemble: Ensemble, X) -> np.ndarray:

@@ -16,12 +16,14 @@ Errors print as a single `error: ...` line on stderr with exit status 2
 (argument problems exit 2 via argparse as well). The CBBOOST_LOG environment
 variable (DEBUG/INFO/WARNING/...) controls log verbosity; any other value is
 rejected the same way. The analysis scripts read their flags with `given`
-and report their errors with `reported`, as the commands here do.
+and report their errors with `reported`, as the commands here do, and write
+their CSV through `replacing`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -135,6 +137,26 @@ def given(args, cls) -> dict:
             flag = "--" + name.replace("_", "-")
             given[name] = parse_reals(text, flag) if isinstance(default[0], float) else tuple(text.split(","))
     return given
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file that replaces `path` only if the with block completes.
+
+    It is a temporary file beside `path`, created on entry, so a missing
+    directory fails before any work. On success it is renamed onto `path`;
+    on failure it is removed and a file already at `path` keeps its bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def cmd_synth(args) -> Written:

@@ -102,7 +102,8 @@ class ExperimentConfig:
     """One benchmark grid: scenario x noise levels x methods x repetitions.
 
     The fields are the keys of a results.json config echo and the dests of
-    `cbboost bench`'s flags. No noise level or method spec may repeat.
+    `cbboost bench`'s flags. No noise level or method spec may repeat, and
+    train_n must exceed k when a method needs confidence.
     """
 
     scenario: str = "normal"
@@ -143,6 +144,9 @@ class ExperimentConfig:
         specs = [parse_method(m) for m in self.methods]
         if len(set(specs)) < len(specs):
             raise ValueError(f"methods must not repeat, got {self.methods}")
+        # the noise filter's first round and the kNN vote both need more rows than neighbours
+        if self.train_n <= self.k and any(METHODS[name].needs_gamma for name, _ in specs):
+            raise ValueError(f"train_n must exceed k={self.k} when a method needs confidence, got {self.train_n}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 

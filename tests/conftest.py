@@ -1,4 +1,4 @@
-"""Shared fixtures: the benchmark tables and trace bundles used across test modules.
+"""Shared fixtures: the benchmark tables, trace bundles and scoring-kernel spy used across test modules.
 
 Everything heavy is session-scoped so the 30-repetition tables are built once.
 All fixtures derive from base_seed 20240501; workers only speed things up,
@@ -8,6 +8,7 @@ they never change results (asserted separately in test_harness).
 import numpy as np
 import pytest
 
+from cbboost import boost
 from cbboost.boost import BoostConfig, check_propositions, train_adaboost, train_cb_adaboost
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
@@ -118,3 +119,20 @@ def normal_trace_runs():
             }
         )
     return runs
+
+
+@pytest.fixture()
+def kernel_rows(monkeypatch):
+    """The row count of each run of boost's term-by-term scoring kernel.
+
+    Scoring by cell runs it once on one point per cell; scoring row by row
+    runs it once on the input's rows.
+    """
+    rows, kernel = [], boost._term_scores
+
+    def counting(terms, X):
+        rows.append(X.shape[0])
+        return kernel(terms, X)
+
+    monkeypatch.setattr(boost, "_term_scores", counting)
+    return rows

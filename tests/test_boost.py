@@ -484,34 +484,45 @@ class TestEnsembleApi:
         assert empirical_risk(ens, ds, g) == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_score_equals_term_by_term_sum(self, seed):
+    def test_score_equals_term_by_term_sum(self, seed, kernel_rows):
         rng = np.random.default_rng(seed)
         p = int(rng.integers(1, 5))
         # integer rows sit exactly on integer thresholds, and dyadic votes
-        # cancel exactly, so zero scores occur
+        # cancel exactly, so zero scores occur; the last three rows hold NaN,
+        # +inf and -inf in every column, and -0.0 and 0.0 thresholds are one cut
         X = rng.integers(-3, 4, size=(400, p)).astype(np.float64)
+        X = np.vstack([X, np.repeat([[np.nan], [np.inf], [-np.inf]], p, axis=1)])
         for votes in ([0.25, 0.5, 1.0], rng.random(8) + 1e-3):
             terms = tuple(
                 (
                     float(rng.choice(votes)),
-                    Stump(int(rng.integers(p)), float(rng.choice([-np.inf, -1.0, 0.0, 0.5, 2.0])),
+                    Stump(int(rng.integers(p)), float(rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0])),
                           int(rng.choice([-1, 1]))),
                 )
                 for _ in range(int(rng.integers(1, 80)))
             )
             ens = Ensemble(terms=terms, stopped_at=len(terms))
-            want = np.zeros(X.shape[0])
-            for beta, stump in terms:
-                want += beta * stump.predict(X)
-            assert score(ens, X).tobytes() == want.tobytes()
-            assert predict(ens, X).tolist() == np.where(want >= 0.0, 1, -1).tolist()
+            features = {s.feature for _, s in terms}
+            cells = math.prod(len({s.threshold for _, s in terms if s.feature == f}) + 1 for f in features)
+            # all rows, the non-finite rows and one row: by cell where the cells are no more than the rows
+            for rows in (X, X[-3:], X[:1]):
+                want = np.zeros(rows.shape[0])
+                for beta, stump in terms:
+                    want += beta * stump.predict(rows)
+                kernel_rows.clear()
+                assert score(ens, rows).tobytes() == want.tobytes()
+                assert kernel_rows == [min(cells, rows.shape[0])]
+                assert predict(ens, rows).tolist() == np.where(want >= 0.0, 1, -1).tolist()
 
-    def test_cancelling_votes_score_zero_and_predict_positive(self):
+    def test_cancelling_votes_score_zero_and_predict_positive(self, kernel_rows):
         terms = ((1.0, Stump(0, 0.0, 1)), (0.5, Stump(1, 0.0, 1)), (0.5, Stump(1, 0.0, 1)))
         ens = Ensemble(terms=terms, stopped_at=3)
         X = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
         assert score(ens, X).tolist() == [0.0, 2.0, 0.0, -2.0]
         assert predict(ens, X).tolist() == [1, 1, 1, -1]
+        assert predict(ens, X[:1]).tolist() == [1]
+        # 2 x 2 cells: four rows are scored by cell, one row directly
+        assert kernel_rows == [4, 4, 1]
 
     def test_wrong_width_names_the_first_stump_out_of_range(self):
         terms = ((1.0, Stump(0, 0.0, 1)), (1.0, Stump(3, 0.0, 1)), (1.0, Stump(5, 0.0, 1)))

@@ -10,18 +10,36 @@ A second oracle, eager_boost, is the two-weight engine as it was while it
 stored every TraceRow as it went. The engine now keeps only what the next
 round reads and its traces rebuild their rows by replay; both must match
 the eager engine bit for bit, for any gamma.
+
+The third oracle is the term-by-term scoring kernel run on the rows
+themselves. Scoring by cell runs the same kernel on one point per cell and
+must give every row the kernel's score bit for bit.
 """
 
+import functools
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from cbboost import boost
-from cbboost.boost import BoostConfig, BoostTrace, Ensemble, TraceRow, train_adaboost, train_cb_adaboost
+from cbboost.boost import (
+    BoostConfig,
+    BoostTrace,
+    Ensemble,
+    TraceRow,
+    empirical_risk,
+    predict,
+    score,
+    train_adaboost,
+    train_cb_adaboost,
+)
 from cbboost.confidence import ConfidenceVector, estimate_confidence
 from cbboost.dataset import Dataset, inject_label_noise
-from cbboost.stump import Presorted
+from cbboost.stump import Presorted, Stump
+from cbboost.synth import gen_normal
+from cbboost.util import sign_pm
 
 
 def oracle_train_adaboost(train, cfg=BoostConfig()):
@@ -337,3 +355,95 @@ def test_rows_replay_once_and_only_when_read(monkeypatch):
     first = trace.rows[0]
     assert trace.rows[0] is first and list(trace.rows)[-1] is trace.rows[-1]
     assert calls == [1]
+
+
+KERNEL = boost._term_scores
+
+
+def cell_count(ens):
+    features = {s.feature for _, s in ens.terms}
+    return math.prod(len({s.threshold for _, s in ens.terms if s.feature == f}) + 1 for f in features)
+
+
+def random_ensemble(seed, p, size, thresholds=None):
+    # dyadic votes; thresholds drawn from the given list, else from N(0, 1)
+    rng = np.random.default_rng(seed)
+    terms = tuple(
+        (
+            float(rng.choice([0.25, 0.5, 1.0])),
+            Stump(int(rng.integers(p)), float(rng.choice(thresholds) if thresholds else rng.normal()),
+                  int(rng.choice([-1, 1]))),
+        )
+        for _ in range(size)
+    )
+    return Ensemble(terms=terms, stopped_at=size)
+
+
+@functools.lru_cache(maxsize=2)
+def trained(algo):
+    noisy, _ = inject_label_noise(gen_normal(500, 31), 0.2, 32)
+    if algo == "adaboost":
+        return train_adaboost(noisy)[0]
+    return train_cb_adaboost(noisy, estimate_confidence(noisy)[0])[0]
+
+
+NON_FINITE = np.array([[a, b] for a in (np.nan, np.inf, -np.inf, 0.5) for b in (np.nan, np.inf, -np.inf, -1.0)])
+SIGNED_ZEROS = np.array([[a, b] for a in (-0.0, 0.0, -1e-300, 1e-300) for b in (0.0, -0.0, 1.0, -1.0)])
+STEPS = [-np.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]
+
+# name: (ensemble, rows) builder, and the path that must score it
+SCORING_CASES = {
+    "integer grid on its thresholds": (
+        lambda: (random_ensemble(0, 2, 120, STEPS),
+                 np.random.default_rng(1).integers(-3, 4, size=(2000, 2)).astype(np.float64)),
+        "cells",
+    ),
+    "-inf sentinels": (
+        lambda: (random_ensemble(2, 3, 40, [-np.inf, -np.inf, 0.25]), np.random.default_rng(3).normal(size=(500, 3))),
+        "cells",
+    ),
+    "non-finite rows, tiled": (lambda: (random_ensemble(4, 2, 60, STEPS), np.tile(NON_FINITE, (40, 1))), "cells"),
+    "non-finite rows": (lambda: (random_ensemble(4, 2, 60, STEPS), NON_FINITE), "rows"),
+    "-0.0 and 0.0 thresholds, tiled": (
+        lambda: (random_ensemble(5, 2, 60, [-0.0, 0.0]), np.tile(SIGNED_ZEROS, (4, 1))),
+        "cells",
+    ),
+    "p=1, 200 terms": (lambda: (random_ensemble(6, 1, 200), np.random.default_rng(7).normal(size=(1000, 1))), "cells"),
+    "p=10, 200 terms": (
+        lambda: (random_ensemble(8, 10, 200), np.random.default_rng(9).normal(size=(1000, 10))),
+        "rows",
+    ),
+    "one row": (lambda: (trained("adaboost"), np.array([[0.3, -0.2]])), "rows"),
+    "adaboost, 10k rows": (lambda: (trained("adaboost"), gen_normal(10000, 33).features), "cells"),
+    "cb, 10k rows": (lambda: (trained("cb"), gen_normal(10000, 33).features), "cells"),
+}
+
+
+@pytest.mark.parametrize("case", SCORING_CASES)
+def test_score_by_cell_matches_the_kernel(case, kernel_rows):
+    build, path = SCORING_CASES[case]
+    ens, X = build()
+    want = KERNEL(ens.terms, X)
+    got = score(ens, X)
+    # the kernel ran once, on one point per cell or on the rows themselves
+    assert (cell_count(ens) <= X.shape[0]) == (path == "cells")
+    assert kernel_rows == [cell_count(ens) if path == "cells" else X.shape[0]]
+    assert got.tobytes() == want.tobytes()
+    assert predict(ens, X).tobytes() == sign_pm(want).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [False, True])
+@pytest.mark.parametrize("n, path", [(10000, "cells"), (300, "rows")])
+def test_empirical_risk_by_cell_matches_the_kernel(gamma, n, path, kernel_rows):
+    ens = trained("cb")
+    ds = gen_normal(n, 34)
+    margin = ds.labels * KERNEL(ens.terms, ds.features)
+    if gamma:
+        g = np.random.default_rng(35).choice([0.0, 0.2, 0.5, 0.9, 1.0], size=n)
+        want = float(np.mean(g * np.exp(-margin) + (1.0 - g) * np.exp(margin)))
+        got = empirical_risk(ens, ds, ConfidenceVector(g))
+    else:
+        want = float(np.mean(np.exp(-margin)))
+        got = empirical_risk(ens, ds)
+    assert same_bits(got, want)
+    assert kernel_rows == [cell_count(ens) if path == "cells" else n]

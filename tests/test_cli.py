@@ -218,6 +218,9 @@ def test_main_writes_one_manifest_per_run(tmp_path, capsys, monkeypatch):
         ("eval", "--model", "model.json", "--in", "raw.csv"),
         ("bench", "--out-dir", "grid", "--train-n", "40", "--test-n", "50", "--repetitions", "1",
          "--noise-levels", "0.1", "--iterations", "3"),
+        # no method needs confidence, so train_n may be at most k
+        ("bench", "--out-dir", "tiny", "--train-n", "3", "--test-n", "20", "--repetitions", "1",
+         "--noise-levels", "0.1", "--iterations", "3", "--methods", "adaboost"),
     ]
     for argv in runs:
         before = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
@@ -600,6 +603,8 @@ class TestBench:
         (["--filter-thresholds", "x"], "cannot parse --filter-thresholds 'x', expected comma-separated reals"),
         (["--noise-levels", "0.1,0.1", "--methods", "adaboost,adaboost"], "noise levels must not repeat, got (0.1, 0.1)"),
         (["--methods", "adaboost,cb,adaboost"], "methods must not repeat, got ('adaboost', 'cb', 'adaboost')"),
+        (["--train-n", "3", "--noise-levels", "0.1", "--methods", "adaboost,cb"],
+         "train_n must exceed k=5 when a method needs confidence, got 3"),
     ])
     def test_flag_errors_name_the_setting(self, tmp_path, capsys, flags, message):
         argv = ["bench", "--out-dir", str(tmp_path / "o"), "--train-n", "40", "--test-n", "50",

@@ -118,6 +118,11 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="methods must not repeat"):
                 ExperimentConfig(methods=methods)
         ExperimentConfig(methods=("disc:0.5", "corr:0.5", "disc:0.25"))
+        for methods in (("adaboost", "cb"), ("stump", "disc:0.5"), ("corr:0.5",)):
+            with pytest.raises(ValueError, match="train_n must exceed k=7 when a method needs confidence, got 7"):
+                ExperimentConfig(train_n=7, k=7, methods=methods)
+        ExperimentConfig(train_n=7, k=7, methods=("stump", "adaboost"))
+        ExperimentConfig(train_n=8, k=7, methods=("cb",))
 
 
 def toy_train(seed=0, n=24):
@@ -277,16 +282,18 @@ class TestRunExperiment:
         assert np.mean(c2.ok_values) > np.mean(c0.ok_values)
 
     def test_confidence_failure_is_recorded_not_fatal(self):
-        # k larger than any possible reference set: every confidence-based
+        # each of 12 rows has 10 of the other 11 as neighbours, so it sees the
+        # other class and a 0.99 filter keeps no row: every confidence-based
         # cell fails cleanly while plain boosting still reports numbers
         cfg = ExperimentConfig(
-            train_n=8,
+            train_n=12,
             test_n=50,
             noise_levels=(0.1,),
             methods=("adaboost", "cb"),
             repetitions=3,
             base_seed=1,
             k=10,
+            filter_thresholds=(0.99,),
             boost=BoostConfig(max_iterations=5),
         )
         table = run_experiment(cfg)

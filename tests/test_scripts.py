@@ -80,6 +80,8 @@ def test_confidence_table_without_a_spread(tmp_path, level, reps):
      "cannot parse --noise-levels '0.2,abc', expected comma-separated reals"),
     ("confidence_table.py", ["--noise-levels", "0.2,0.2"], "noise levels must not repeat"),
     ("weight_traces.py", ["--conf-cut", "5"], "conf_cut"),
+    ("weight_traces.py", ["--train-n", "3"], "train_n must exceed k=5 when a method needs confidence, got 3"),
+    ("confidence_table.py", ["--train-n", "5"], "train_n must exceed k=5 when a method needs confidence, got 5"),
 ])
 def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
     # the settings a script shares with the grid are checked by ExperimentConfig
@@ -131,3 +133,29 @@ def test_bad_out_or_cut_fails_before_any_draw(tmp_path, monkeypatch, capsys, nam
     assert script.main() == 2
     assert draws == []
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("weight_traces.py", ["--iterations", "3"]),
+    ("confidence_table.py", ["--noise-levels", "0.2"]),
+])
+def test_failed_run_keeps_an_existing_out(tmp_path, monkeypatch, capsys, name, flags):
+    # the run fails after --out is opened; a later run that succeeds replaces the file
+    script = load_script(name)
+    real = script.estimate_confidence
+
+    def failing(*args, **kwargs):
+        raise ValueError("confidence step broke")
+
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier run\n")
+    monkeypatch.setattr(sys, "argv", [name, "--train-n", "40", "--repetitions", "1", *flags, "--out", str(out)])
+    monkeypatch.setattr(script, "estimate_confidence", failing)
+    assert script.main() == 2
+    assert capsys.readouterr().err == "error: confidence step broke\n"
+    assert out.read_bytes() == b"earlier run\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    monkeypatch.setattr(script, "estimate_confidence", real)
+    assert script.main() == 0
+    assert csv_header(out)[0] in ("iteration", "estimator")
+    assert os.listdir(tmp_path) == ["out.csv"]
