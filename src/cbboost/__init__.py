@@ -20,7 +20,7 @@ from .dataset import (
     split,
 )
 from .synth import SynthSpec, bayes_label, gen_normal, gen_sine, generate
-from .stump import Stump, predict_stump, train_stump
+from .stump import Stump, train_stump
 from .confidence import (
     ConfidenceVector,
     FilterReport,

@@ -171,14 +171,14 @@ def cmd_synth(args) -> Written:
 def cmd_noise(args) -> Written:
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     noisy, mask = inject_label_noise(ds, args.noise_level, args.seed)
-    save_csv(noisy, args.out, label_column=args.label_column)
-    outputs = [args.out]
-    if args.mask_out:
-        with open(args.mask_out, "w", newline="") as fh:
+    # the mask's file is created first, so a bad --mask-out fails before --out is written
+    with replacing(args.mask_out) if args.mask_out else contextlib.nullcontext() as fh:
+        save_csv(noisy, args.out, label_column=args.label_column)
+        if fh:
             fh.write("flipped\n")
             for v in mask.flipped:
                 fh.write(f"{int(v)}\n")
-        outputs.append(args.mask_out)
+    outputs = [args.out] + ([args.mask_out] if args.mask_out else [])
     config = {
         "noise_level": args.noise_level,
         "label_column": args.label_column,

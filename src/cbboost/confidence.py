@@ -22,14 +22,15 @@ the features alone, so all noise levels of one training set can share it.
 With at most three features and at least a thousand or so rows, the table
 comes from a uniform cell grid (Bentley 1975): each row ranks only the rows
 of the cells around its own, widening the ring of cells until no row outside
-can come closer, so the search grows about linearly in n. Otherwise it is a
-brute-force O(n^2) search in query blocks of about a million pairwise
-differences. Both give the same table bit for bit, with the same tie rule,
-in O(block + n*k) memory. CBBOOST_LOG=DEBUG logs one line per table build
-(rows, depth, search path, distance pairs computed, rows that needed a wider
-ring, seconds), one per filter round (threshold, survivors in, rows removed,
-re-searched rows) and one per vote (rows, rows served from the table,
-re-searched rows).
+can come closer, so the search grows about linearly in n. Rows are ranked
+in chunks of similar candidate counts, so at most a quarter of the pairs a
+chunk computes are padding. Otherwise it is a brute-force O(n^2) search in
+query blocks of about a million pairwise differences. Both give the same
+table bit for bit, with the same tie rule, in O(block + n*k) memory.
+CBBOOST_LOG=DEBUG logs one line per table build (rows, depth, search path,
+distance pairs computed, rows that needed a wider ring, seconds), one per
+filter round (threshold, survivors in, rows removed, re-searched rows) and
+one per vote (rows, rows served from the table, re-searched rows).
 """
 
 from __future__ import annotations
@@ -226,14 +227,16 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     distance can fall below the computed square of the row's gap to those
     coordinates (clamped at zero), and no slack is needed. A row short of the
     bound retries with the ring its depth-th distance calls for, at least R+1;
-    a row with too few candidates doubles R. Queries are padded to the widest
-    candidate list of their chunk, taken in order of width, and every
-    (queries, candidates, p) temporary stays near _BLOCK doubles. Returns the
-    table, the distance pairs computed (padding included) and the number of
-    rows that needed a wider ring; or None, before any distance is computed,
-    where the blocked search is the one to use: too many features or too few
-    rows (_CELL_GRID), a span whose squares overflow (infinite distances, which
-    no bound can separate) or cells too crowded to pay (_CELL_CROWDED).
+    a row with too few candidates doubles R. Queries are taken in order of
+    width, in chunks whose rows are at least 3/4 as wide as their first; a
+    chunk is padded to that first row's width, so at most a quarter of its
+    pairs are padding, and every (queries, candidates, p) temporary stays near
+    _BLOCK doubles. Returns the table, the distance pairs computed (padding
+    included) and the number of rows that needed a wider ring; or None, before
+    any distance is computed, where the blocked search is the one to use: too
+    many features or too few rows (_CELL_GRID), a span whose squares overflow
+    (infinite distances, which no bound can separate) or cells too crowded to
+    pay (_CELL_CROWDED).
     """
     n, p = X.shape
     if p not in _CELL_GRID or n < _CELL_GRID[p][0]:
@@ -310,11 +313,15 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
             retry_rings.append(np.full(np.count_nonzero(short), min(2 * ring, full)))
             wide = np.flatnonzero(~short)
             wide = wide[np.argsort(-width[wide], kind="stable")]
+            # -4 * width ascends; a chunk keeps the rows at least 3/4 as wide as its first
+            falling = -4 * width[wide]
             q = 0
             while q < wide.size:
-                chunk = wide[q : q + max(1, _BLOCK // (int(width[wide[q]]) * p))]
-                q += chunk.size
-                cand = _gather_runs(order, first[chunk], runs[chunk], int(width[chunk[0]]), n)
+                w = int(width[wide[q]])
+                end = min(q + max(1, _BLOCK // (w * p)), int(np.searchsorted(falling, -3 * w, side="right")))
+                chunk = wide[q:end]
+                q = end
+                cand = _gather_runs(order, first[chunk], runs[chunk], w, n)
                 d2 = _sq_dists(X[rows[chunk]], padded, cand)
                 d2[cand == n] = np.inf
                 d2[cand == rows[chunk, None]] = np.inf

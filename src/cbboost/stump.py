@@ -23,7 +23,7 @@ import numpy as np
 
 from .util import frozen
 
-__all__ = ["Stump", "Presorted", "train_stump", "predict_stump", "candidate_thresholds"]
+__all__ = ["Stump", "Presorted", "train_stump", "candidate_thresholds"]
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class Stump:
         if self.feature >= X.shape[1]:
             raise ValueError(f"stump uses feature {self.feature} but matrix has {X.shape[1]} columns")
         return np.where(X[:, self.feature] > self.threshold, self.polarity, -self.polarity).astype(np.int64)
-
-
-def predict_stump(stump: Stump, x) -> int:
-    """Predicted label for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d feature vector, got shape {x.shape}")
-    return int(stump.predict(x[None, :])[0])
 
 
 def candidate_thresholds(column) -> np.ndarray:

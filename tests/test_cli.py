@@ -391,6 +391,18 @@ class TestErrors:
         )
         assert err.startswith("error: ")
 
+    def test_bad_mask_path_fails_before_out_is_written(self, pipeline, capsys):
+        noisy = pipeline / "noisy.csv"
+        old = noisy.read_bytes()
+        before = sorted(os.listdir(pipeline))
+        err = run_fail(
+            capsys, "noise", "--in", str(pipeline / "raw.csv"), "--out", str(noisy),
+            "--noise-level", "0.3", "--seed", "8", "--mask-out", str(pipeline / "missing" / "m.csv"),
+        )
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert noisy.read_bytes() == old
+        assert sorted(os.listdir(pipeline)) == before
+
     def test_cb_requires_gamma(self, pipeline, capsys):
         err = run_fail(
             capsys, "train", "--in", str(pipeline / "noisy.csv"),

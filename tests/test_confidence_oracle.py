@@ -372,6 +372,46 @@ def test_cells_noisy_normal_and_shared_table(cells, block, caplog):
         assert knn_confidence(noisy, report, neighbours=nb).gamma.tobytes() == ref
 
 
+def cluster_in_a_cloud(seed):
+    # a tight cluster inside a sparse cloud: cluster rows meet hundreds of
+    # candidates, cloud rows a few dozen
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.uniform(-10.0, 10.0, size=(900, 2)), rng.normal(0.0, 0.3, size=(600, 2))])
+
+
+@pytest.mark.parametrize("data", ["cluster in a cloud", "normal"])
+def test_cells_chunks_of_similar_width(cells, block, caplog, monkeypatch, data):
+    # each chunk computes at most 4/3 of its rows' real candidate pairs, and
+    # its (rows, width, p) temporary stays within _BLOCK doubles
+    X = cluster_in_a_cloud(seed=2) if data == "cluster in a cloud" else gen_normal(5000, seed=7).features
+    chunks, sq_dists = [], confidence._sq_dists
+
+    def spy(queries, refs, cand=None):
+        if cand is not None:
+            # refs is X plus one pad row, which padding columns name
+            chunks.append((cand.shape, np.count_nonzero(cand != refs.shape[0] - 1, axis=1)))
+        return sq_dists(queries, refs, cand)
+
+    monkeypatch.setattr(confidence, "_sq_dists", spy)
+    assert_exact_table(X, 5, caplog)
+    widths = np.concatenate([real for _, real in chunks])
+    assert widths.max() > 4 * widths.min()
+    for (rows, width), real in chunks:
+        assert 3 * rows * width <= 4 * real.sum()
+        assert rows == 1 or rows * width * X.shape[1] <= confidence._BLOCK
+
+
+def test_cells_table_peak_memory(cells):
+    X = gen_normal(5000, seed=1).features
+    tracemalloc.start()
+    try:
+        Neighbours(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 def test_search_path_by_rows_and_features(caplog):
     assert_exact_table(gen_normal(5000, seed=1).features, 5, caplog, path="cells")
     assert_exact_table(gen_normal(500, seed=1).features, 5, caplog, path="blocked")

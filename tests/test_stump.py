@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbboost.stump import Stump, candidate_thresholds, predict_stump, train_stump
+from cbboost.stump import Stump, candidate_thresholds, train_stump
 
 
 def brute_force(X, y, w):
@@ -74,11 +74,6 @@ class TestPredict:
     def test_constant_stump(self):
         s = Stump(feature=0, threshold=-np.inf, polarity=1)
         assert s.predict(np.array([[-1e300], [0.0], [1e300]])).tolist() == [1, 1, 1]
-
-    def test_single_point_helper(self):
-        s = Stump(feature=0, threshold=0.5, polarity=1)
-        assert predict_stump(s, np.array([1.0])) == 1
-        assert predict_stump(s, np.array([0.0])) == -1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="polarity"):
