@@ -10,13 +10,12 @@ the downstream booster robust.
 """
 
 import argparse
-import contextlib
 import csv
 import sys
 
 import numpy as np
 
-from cbboost.cli import given, replacing, reported
+from cbboost.cli import given, reported
 from cbboost.confidence import confidence_quality, estimate_confidence
 from cbboost.dataset import inject_label_noise
 from cbboost.harness import ExperimentConfig, derive_seed
@@ -63,24 +62,24 @@ def main() -> int:
     return reported(run, ap.parse_args())
 
 
-def run(args):
+def run(args, out):
     # the grid's config checks the settings a script shares with it, with cbboost's messages
     cfg = ExperimentConfig(**given(args, ExperimentConfig))
     rows = [("estimator", "form", "noise_level", "clean_mean", "clean_std", "mislabeled_mean", "mislabeled_std")]
-    # opened before the first draw, so a path that cannot be written fails before any work
-    with replacing(args.out) if args.out else contextlib.nullcontext() as fh:
-        for method, form in ESTIMATORS:
-            for level in cfg.noise_levels:
-                cm, cs, nm, ns = one_cell(cfg, level, method, form)
-                rows.append((method, form or "", level, cm, cs, nm, ns))
-                label = method if form is None else f"{method}/{form}"
-                print(
-                    f"{label:<20} @{level:>4} : clean {fmt(cm)} +/- {fmt(cs)}   "
-                    f"mislabeled {fmt(nm)} +/- {fmt(ns)}"
-                )
-        if fh is not None:
+    # staged before the first draw, so a path that cannot be written fails before any work
+    tmp = out.add(args.out) if args.out else None
+    for method, form in ESTIMATORS:
+        for level in cfg.noise_levels:
+            cm, cs, nm, ns = one_cell(cfg, level, method, form)
+            rows.append((method, form or "", level, cm, cs, nm, ns))
+            label = method if form is None else f"{method}/{form}"
+            print(
+                f"{label:<20} @{level:>4} : clean {fmt(cm)} +/- {fmt(cs)}   "
+                f"mislabeled {fmt(nm)} +/- {fmt(ns)}"
+            )
+    if tmp:
+        with open(tmp, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-    if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
 
 

@@ -11,9 +11,6 @@ harness plus CLI gluing those together.
 from .dataset import (
     Dataset,
     NoiseMask,
-    Scaler,
-    apply_scaler,
-    fit_scaler,
     inject_label_noise,
     load_csv,
     save_csv,

@@ -1,6 +1,6 @@
 """Command-line pipeline: synth -> noise -> confidence -> train / eval / bench.
 
-Each subcommand returns what it wrote, and `main` writes every manifest: a
+Each subcommand returns what it did, and `main` writes every manifest: a
 RunManifest JSON next to the primary output at <output>.manifest.json, with
 the tool version, the subcommand, the fully resolved configuration, all seeds,
 SHA-256 digests of the inputs, the output list and the seconds the whole
@@ -8,6 +8,8 @@ command took; train's also records why the run stopped, its rounds and its
 final two-sided risk. JSON outputs embed the manifest filename; CSV outputs
 carry no comment rows (their schemas are strict), so their link to the
 manifest is the filename convention itself. eval without --out writes none.
+Every file a command or script writes, manifests included, is staged in the
+run's one `Staged` and replaces its path only when the whole run succeeds.
 
 A flag that sets an ExperimentConfig or BoostConfig field has the field's
 name as its dest and, where it has a default, the dataclass's default.
@@ -16,14 +18,14 @@ Errors print as a single `error: ...` line on stderr with exit status 2
 (argument problems exit 2 via argparse as well). The CBBOOST_LOG environment
 variable (DEBUG/INFO/WARNING/...) controls log verbosity; any other value is
 rejected the same way. The analysis scripts read their flags with `given`
-and report their errors with `reported`, as the commands here do, and write
-their CSV through `replacing`.
+and run through `reported`, as the commands here do.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import logging
@@ -72,13 +74,11 @@ def _sha256(path) -> str:
 
 
 class Written(NamedTuple):
-    """What one command wrote. outputs[0] is its primary output, next to which
-    `main` writes the manifest; summary is the line printed after that."""
+    """What one command did, for its manifest; summary is the line printed after it."""
 
     config: dict
     seeds: dict
     inputs: list
-    outputs: list
     summary: str | None = None
     result: dict | None = None
 
@@ -93,7 +93,8 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(run: Written, command: str, t0: float) -> None:
+def _write_manifest(run: Written, command: str, t0: float, out: Staged) -> None:
+    *outputs, path = out  # the manifest is staged last
     manifest = {
         "tool": "cbboost",
         "version": __version__,
@@ -101,13 +102,12 @@ def _write_manifest(run: Written, command: str, t0: float) -> None:
         "config": run.config,
         "seeds": run.seeds,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in run.inputs],
-        "outputs": [str(p) for p in run.outputs],
+        "outputs": outputs,
         "elapsed_seconds": round(time.monotonic() - t0, 6),
     }
     if run.result is not None:
         manifest["result"] = run.result
-    path = _manifest_path(run.outputs[0])
-    _write_json(path, manifest)
+    _write_json(out[path], manifest)
     log.info("wrote manifest %s", path)
 
 
@@ -139,57 +139,82 @@ def given(args, cls) -> dict:
     return given
 
 
-@contextlib.contextmanager
-def replacing(path):
-    """A text file that replaces `path` only if the with block completes.
+class Staged(dict):
+    """Output paths, in the order staged, mapped to the temporaries written in their place.
 
-    It is a temporary file beside `path`, created on entry, so a missing
-    directory fails before any work. On success it is renamed onto `path`;
-    on failure it is removed and a file already at `path` keeps its bytes.
+    add(path) creates the temporary beside path, so a path that cannot be
+    written fails before any work. The with block renames every temporary
+    onto its path when it completes and removes them all when it raises.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+
+    def add(self, path) -> str:
+        path = str(path)
+        if os.path.realpath(path) in map(os.path.realpath, self):
+            raise ValueError(f"{path} is named as two outputs")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            open(tmp, "x").close()
+        except OSError as exc:
+            exc.filename = path  # the path the user gave, not the temporary
+            raise
+        self[path] = tmp
+        return tmp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        try:
+            if failed is None:
+                for path, tmp in self.items():
+                    os.replace(tmp, path)
+        finally:
+            for tmp in self.values():
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
 
 
-def cmd_synth(args) -> Written:
+def _staged(out: Staged, primary, *others) -> list:
+    """Temporaries for a command's outputs (None for one not asked for), then its manifest beside primary."""
+    tmps = [out.add(path) if path else None for path in (primary, *others)]
+    out.add(_manifest_path(primary))
+    return tmps
+
+
+def cmd_synth(args, out: Staged) -> Written:
+    (tmp,) = _staged(out, args.out)
     spec = SynthSpec(scenario=args.scenario, n=args.n, seed=args.seed)
     ds = generate(spec)
-    save_csv(ds, args.out, label_column=args.label_column)
+    save_csv(ds, tmp, label_column=args.label_column)
     return Written(config={"scenario": args.scenario, "n": args.n, "label_column": args.label_column},
-                   seeds={"seed": args.seed}, inputs=[], outputs=[args.out],
+                   seeds={"seed": args.seed}, inputs=[],
                    summary=f"wrote {args.out} ({ds.n} rows, {ds.p} features)")
 
 
-def cmd_noise(args) -> Written:
+def cmd_noise(args, out: Staged) -> Written:
+    tmp, mask_tmp = _staged(out, args.out, args.mask_out)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     noisy, mask = inject_label_noise(ds, args.noise_level, args.seed)
-    # the mask's file is created first, so a bad --mask-out fails before --out is written
-    with replacing(args.mask_out) if args.mask_out else contextlib.nullcontext() as fh:
-        save_csv(noisy, args.out, label_column=args.label_column)
-        if fh:
+    save_csv(noisy, tmp, label_column=args.label_column)
+    if mask_tmp:
+        with open(mask_tmp, "w", newline="") as fh:
             fh.write("flipped\n")
             for v in mask.flipped:
                 fh.write(f"{int(v)}\n")
-    outputs = [args.out] + ([args.mask_out] if args.mask_out else [])
     config = {
         "noise_level": args.noise_level,
         "label_column": args.label_column,
         "positive_label": args.positive_label,
         "flipped_count": mask.count,
     }
-    return Written(config=config, seeds={"seed": args.seed}, inputs=[args.infile], outputs=outputs,
+    return Written(config=config, seeds={"seed": args.seed}, inputs=[args.infile],
                    summary=f"wrote {args.out} ({mask.count} of {ds.n} labels flipped)")
 
 
-def cmd_confidence(args) -> Written:
+def cmd_confidence(args, out: Staged) -> Written:
+    (tmp,) = _staged(out, args.out)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     thresholds = parse_reals(args.filter_thresholds, "--filter-thresholds")
     gamma, report = estimate_confidence(
@@ -201,7 +226,7 @@ def cmd_confidence(args) -> Written:
         form=args.form,
         standardize=args.standardize,
     )
-    write_gamma_csv(gamma, args.out)
+    write_gamma_csv(gamma, tmp)
     config = {
         "method": args.method,
         "k": args.k,
@@ -214,11 +239,12 @@ def cmd_confidence(args) -> Written:
         "kept": int(report.n_kept),
         "filter_aborted": bool(report.aborted),
     }
-    return Written(config=config, seeds={}, inputs=[args.infile], outputs=[args.out],
+    return Written(config=config, seeds={}, inputs=[args.infile],
                    summary=f"wrote {args.out} (filter kept {report.n_kept}/{ds.n} rows)")
 
 
-def cmd_train(args) -> Written:
+def cmd_train(args, out: Staged) -> Written:
+    (tmp,) = _staged(out, args.out)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     cfg = BoostConfig(**given(args, BoostConfig), **_parse_stop(args.stop))
     method = METHODS[args.algo]
@@ -240,13 +266,14 @@ def cmd_train(args) -> Written:
         "positive_label": args.positive_label,
         "manifest": _manifest_path(args.out),
     }
-    save_ensemble(ensemble, args.out, config)
-    return Written(config=config, seeds={"seed": cfg.seed}, inputs=inputs, outputs=[args.out],
+    save_ensemble(ensemble, tmp, config)
+    return Written(config=config, seeds={"seed": cfg.seed}, inputs=inputs,
                    summary=f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})",
                    result={"stop_reason": trace.stop_reason, "rounds": len(ensemble), "final_risk": trace.final_risk})
 
 
-def cmd_eval(args) -> Written | None:
+def cmd_eval(args, out: Staged) -> Written | None:
+    (tmp,) = _staged(out, args.out) if args.out else (None,)
     ensemble, model_config = load_ensemble(args.model)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     err = test_error(ensemble, ds)
@@ -260,12 +287,12 @@ def cmd_eval(args) -> Written | None:
         "model_terms": len(ensemble),
         "manifest": _manifest_path(args.out),
     }
-    _write_json(args.out, metrics)
+    _write_json(tmp, metrics)
     config = {"label_column": args.label_column, "positive_label": args.positive_label, "model_config": model_config}
-    return Written(config=config, seeds={}, inputs=[args.model, args.infile], outputs=[args.out])
+    return Written(config=config, seeds={}, inputs=[args.model, args.infile])
 
 
-def cmd_bench(args) -> Written:
+def cmd_bench(args, out: Staged) -> Written:
     cfg = ExperimentConfig()
     inputs = []
     if args.config:
@@ -276,17 +303,18 @@ def cmd_bench(args) -> Written:
     boost = replace(cfg.boost, **given(args, BoostConfig), **_parse_stop(args.stop))
     cfg = replace(cfg, boost=boost, **given(args, ExperimentConfig))
     os.makedirs(args.out_dir, exist_ok=True)
-    log.info("bench grid: %s", cfg)
-    table = run_experiment(cfg)
     json_path = os.path.join(args.out_dir, "results.json")
     csv_path = os.path.join(args.out_dir, "results.csv")
+    json_tmp, csv_tmp = _staged(out, json_path, csv_path)
+    log.info("bench grid: %s", cfg)
+    table = run_experiment(cfg)
     body = json.loads(table_to_json(table))
     body["manifest"] = _manifest_path("results.json")
-    _write_json(json_path, body)
-    with open(csv_path, "w", newline="") as fh:
+    _write_json(json_tmp, body)
+    with open(csv_tmp, "w", newline="") as fh:
         fh.write(table_to_csv(table))
     return Written(config=body["config"], seeds={"base_seed": cfg.base_seed}, inputs=inputs,
-                   outputs=[json_path, csv_path], summary=f"wrote {json_path} and {csv_path}")
+                   summary=f"wrote {json_path} and {csv_path}")
 
 
 def _add_io_flags(p, needs_out=True):
@@ -381,16 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def reported(run, *args) -> int:
-    """Exit status of run(*args): 2 after one `error:` line for a ValueError, OSError or LinAlgError, else 0."""
+    """Exit status of run(*args, out), out being the run's Staged: 2 after one
+    `error:` line for a ValueError, OSError or LinAlgError, else 0."""
     try:
-        run(*args)
+        with Staged() as out:
+            run(*args, out)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _run(args) -> None:
+def _run(args, out: Staged) -> None:
     setting = os.environ.get("CBBOOST_LOG", "WARNING")
     level = setting.upper()
     # getLevelName maps a known level name to its number, anything else to a str
@@ -399,9 +429,9 @@ def _run(args) -> None:
                          "ERROR or CRITICAL")
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     t0 = time.monotonic()
-    run = args.func(args)
+    run = args.func(args, out)
     if run is not None:
-        _write_manifest(run, args.command, t0)
+        _write_manifest(run, args.command, t0, out)
         if run.summary is not None:
             print(run.summary)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NoiseMask, apply_scaler, fit_scaler
+from .dataset import Dataset, NoiseMask
 from .util import frozen
 
 __all__ = [
@@ -372,9 +372,14 @@ def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str 
 
 
 def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
+    """The features z-scored by column (population std; a constant column is scaled by 1)."""
     if not standardize:
         return ds.features
-    return apply_scaler(fit_scaler(ds), ds).features
+    mu = ds.features.mean(axis=0)
+    sd = ds.features.std(axis=0)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
+        raise ValueError("cannot standardize: a feature column's mean or standard deviation overflows")
+    return frozen((ds.features - mu) / np.where(sd == 0.0, 1.0, sd))
 
 
 class Neighbours:

@@ -1,4 +1,4 @@
-"""Dataset container plus CSV ingestion, splitting, scaling and noise injection.
+"""Dataset container plus CSV ingestion, splitting and noise injection.
 
 Every type here is a frozen dataclass wrapping read-only numpy arrays, and
 every operation is a pure function of its inputs and an explicit seed, so a
@@ -18,13 +18,10 @@ from .util import frozen
 __all__ = [
     "Dataset",
     "NoiseMask",
-    "Scaler",
     "load_csv",
     "save_csv",
     "split",
     "inject_label_noise",
-    "fit_scaler",
-    "apply_scaler",
 ]
 
 
@@ -91,26 +88,6 @@ class NoiseMask:
     @property
     def count(self) -> int:
         return int(self.flipped.sum())
-
-
-@dataclass(frozen=True)
-class Scaler:
-    """Per-column location/scale for z-scoring. Constant columns carry scale 1."""
-
-    means: np.ndarray
-    stddevs: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.means, dtype=np.float64)
-        sd = np.asarray(self.stddevs, dtype=np.float64)
-        if mu.ndim != 1 or mu.shape != sd.shape:
-            raise ValueError(f"means shape {mu.shape} and stddevs shape {sd.shape} must be equal 1-d")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
-            raise ValueError("scaler parameters must be finite")
-        if np.any(sd <= 0):
-            raise ValueError("stddevs must be strictly positive")
-        object.__setattr__(self, "means", frozen(mu))
-        object.__setattr__(self, "stddevs", frozen(sd))
 
 
 def load_csv(path, label_column: str = "label", positive_label: str = "1") -> Dataset:
@@ -219,17 +196,3 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> tuple[Dataset, No
     labels = ds.labels.copy()
     labels[flipped] = -labels[flipped]
     return Dataset(ds.features, labels), NoiseMask(flipped, rate)
-
-
-def fit_scaler(ds: Dataset) -> Scaler:
-    """Column means and population standard deviations (constant columns get scale 1)."""
-    mu = ds.features.mean(axis=0)
-    sd = ds.features.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return Scaler(mu, sd)
-
-
-def apply_scaler(scaler: Scaler, ds: Dataset) -> Dataset:
-    if scaler.means.shape[0] != ds.p:
-        raise ValueError(f"scaler fitted on {scaler.means.shape[0]} columns, dataset has {ds.p}")
-    return Dataset((ds.features - scaler.means) / scaler.stddevs, ds.labels)

@@ -13,6 +13,8 @@ import pytest
 import cbboost
 from dataclasses import fields
 
+from cbboost import cli
+
 from cbboost.boost import (
     LEARNER_MODES,
     BoostConfig,
@@ -199,6 +201,15 @@ class TestManifest:
         for name in ("raw.csv", "noisy.csv", "gamma.csv"):
             assert (pipeline / f"{name}.manifest.json").exists()
 
+    def test_in_place_run_records_the_input_digest(self, pipeline, capsys):
+        # the input is hashed before the output replaces it
+        noisy = pipeline / "noisy.csv"
+        digest = hashlib.sha256(noisy.read_bytes()).hexdigest()
+        run_ok(capsys, "noise", "--in", str(noisy), "--out", str(noisy), "--noise-level", "0.1", "--seed", "5")
+        manifest = json.loads((pipeline / "noisy.csv.manifest.json").read_text())
+        assert manifest["inputs"] == [{"path": str(noisy), "sha256": digest}]
+        assert hashlib.sha256(noisy.read_bytes()).hexdigest() != digest
+
     def test_seeds_recorded(self, pipeline):
         m = json.loads((pipeline / "noisy.csv.manifest.json").read_text())
         assert m["seeds"] == {"seed": 4}
@@ -234,6 +245,40 @@ def test_main_writes_one_manifest_per_run(tmp_path, capsys, monkeypatch):
         assert body["command"] == argv[0]
         assert manifest == body["outputs"][0] + ".manifest.json"
         assert set(body["outputs"]) == wrote - {manifest}
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()], ids=["error", "interrupt"])
+@pytest.mark.parametrize("argv, outputs", [
+    (["synth", "--scenario", "normal", "--n", "30", "--out", "raw.csv"], ["raw.csv"]),
+    (["noise", "--in", "raw.csv", "--out", "noisy.csv", "--noise-level", "0.1", "--mask-out", "mask.csv"],
+     ["noisy.csv", "mask.csv"]),
+    (["confidence", "--in", "noisy.csv", "--out", "gamma.csv"], ["gamma.csv"]),
+    (["train", "--in", "noisy.csv", "--gamma", "gamma.csv", "--algo", "cb", "--iterations", "3", "--out", "m.json"],
+     ["m.json"]),
+    (["eval", "--model", "model.json", "--in", "raw.csv", "--out", "metrics.json"], ["metrics.json"]),
+    (["bench", "--out-dir", "grid", "--train-n", "40", "--test-n", "30", "--repetitions", "1",
+      "--noise-levels", "0.1", "--iterations", "3", "--methods", "adaboost"], ["grid/results.json", "grid/results.csv"]),
+], ids=["synth", "noise", "confidence", "train", "eval", "bench"])
+def test_failed_run_keeps_existing_outputs(pipeline, capsys, monkeypatch, argv, outputs, exc):
+    """A run that fails after writing its outputs leaves every file as it was, and no temporary."""
+    monkeypatch.chdir(pipeline)
+    run_ok(capsys, "train", "--in", "noisy.csv", "--algo", "adaboost", "--iterations", "3", "--out", "model.json")
+    (pipeline / "grid").mkdir()
+    for path in outputs + [outputs[0] + ".manifest.json"]:
+        (pipeline / path).write_text(f"earlier {path}\n")
+    before = {str(p.relative_to(pipeline)): p.read_bytes() for p in pipeline.rglob("*") if p.is_file()}
+
+    def failing(run, command, t0, out):
+        assert all(os.path.getsize(out[path]) > 0 for path in outputs)  # every output was written
+        raise exc
+
+    monkeypatch.setattr(cli, "_write_manifest", failing)
+    if isinstance(exc, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run_fail(capsys, *argv) == "error: disk full\n"
+    assert {str(p.relative_to(pipeline)): p.read_bytes() for p in pipeline.rglob("*") if p.is_file()} == before
 
 
 class TestDeterminism:
@@ -393,14 +438,45 @@ class TestErrors:
 
     def test_bad_mask_path_fails_before_out_is_written(self, pipeline, capsys):
         noisy = pipeline / "noisy.csv"
+        mask = pipeline / "missing" / "m.csv"
         old = noisy.read_bytes()
         before = sorted(os.listdir(pipeline))
         err = run_fail(
             capsys, "noise", "--in", str(pipeline / "raw.csv"), "--out", str(noisy),
-            "--noise-level", "0.3", "--seed", "8", "--mask-out", str(pipeline / "missing" / "m.csv"),
+            "--noise-level", "0.3", "--seed", "8", "--mask-out", str(mask),
         )
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the message names the path given, not the temporary written in its place
+        assert str(mask) in err and ".tmp" not in err
         assert noisy.read_bytes() == old
+        assert sorted(os.listdir(pipeline)) == before
+
+    @pytest.mark.parametrize("out, message", [
+        ("missing/g.csv", "[Errno 2] No such file or directory"),
+        ("grid", "[Errno 21] Is a directory"),
+    ])
+    def test_unwritable_out_fails_before_any_work(self, pipeline, capsys, monkeypatch, out, message):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "grid").mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "estimate_confidence", lambda *args, **kwargs: calls.append(args))
+        before = sorted(os.listdir(pipeline))
+        err = run_fail(capsys, "confidence", "--in", "noisy.csv", "--out", out)
+        assert err == f"error: {message}: '{out}'\n"
+        assert calls == []
+        assert sorted(os.listdir(pipeline)) == before
+
+    @pytest.mark.parametrize("mask", ["x.csv", "./x.csv", "x.csv.manifest.json"])
+    def test_one_path_named_as_two_outputs(self, pipeline, capsys, monkeypatch, mask):
+        # a manifest is an output too: it would otherwise overwrite the mask
+        monkeypatch.chdir(pipeline)
+        loads = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: loads.append(args))
+        before = sorted(os.listdir(pipeline))
+        err = run_fail(capsys, "noise", "--in", "raw.csv", "--out", "x.csv", "--noise-level", "0.1",
+                       "--mask-out", mask)
+        assert err == f"error: {mask} is named as two outputs\n"
+        assert loads == []
         assert sorted(os.listdir(pipeline)) == before
 
     def test_cb_requires_gamma(self, pipeline, capsys):

@@ -305,6 +305,28 @@ class TestBayesConfidence:
             bayes_confidence(ds, thin, 0.1)
 
 
+class TestStandardized:
+    def test_zero_mean_unit_sd(self):
+        ds = gen_normal(40, seed=9)
+        z = confidence._standardized(ds, True)
+        assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
+
+    def test_constant_column_passthrough(self):
+        X = np.column_stack([np.full(5, 3.5), np.arange(5.0)])
+        z = confidence._standardized(Dataset(X, [1, -1, 1, -1, 1]), True)
+        assert np.array_equal(z[:, 0], np.zeros(5))
+
+    def test_population_std(self):
+        z = confidence._standardized(Dataset(np.array([[0.0], [2.0]]), [1, -1]), True)
+        assert np.array_equal(z[:, 0], [-1.0, 1.0])  # ddof=0, not 2/sqrt(2)
+
+    def test_overflow_rejected(self):
+        ds = Dataset(np.array([[1e308], [1e308], [0.0]]), [1, -1, 1])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean or standard deviation overflows"):
+            confidence._standardized(ds, True)
+
+
 class TestPipeline:
     def test_dispatch_matches_stages(self):
         ds = gen_normal(150, seed=10)

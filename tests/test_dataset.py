@@ -1,4 +1,4 @@
-"""CSV ingestion, splitting, scaling, and label-noise injection."""
+"""CSV ingestion, splitting, and label-noise injection."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from cbboost.dataset import (
     Dataset,
     NoiseMask,
-    Scaler,
-    apply_scaler,
-    fit_scaler,
     inject_label_noise,
     load_csv,
     save_csv,
@@ -265,37 +262,3 @@ class TestNoise:
         noisy, mask = inject_label_noise(ds, rate, seed)
         assert mask.count == int(round(rate * n))
         assert int(np.sum(noisy.labels != ds.labels)) == mask.count
-
-
-class TestScaler:
-    def test_zero_mean_unit_sd(self):
-        ds = toy(n=40, p=3, seed=9)
-        sc = fit_scaler(ds)
-        z = apply_scaler(sc, ds)
-        assert np.allclose(z.features.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(z.features.std(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_passthrough(self):
-        X = np.column_stack([np.full(5, 3.5), np.arange(5.0)])
-        ds = Dataset(X, [1, -1, 1, -1, 1])
-        sc = fit_scaler(ds)
-        assert sc.stddevs[0] == 1.0
-        z = apply_scaler(sc, ds)
-        assert np.allclose(z.features[:, 0], 0.0)
-
-    def test_population_std(self):
-        X = np.array([[0.0], [2.0]])
-        ds = Dataset(X, [1, -1])
-        sc = fit_scaler(ds)
-        assert sc.stddevs[0] == pytest.approx(1.0)  # ddof=0, not 2/sqrt(2)
-
-    def test_dimension_check(self):
-        sc = fit_scaler(toy(p=2))
-        with pytest.raises(ValueError, match="fitted on 2 columns"):
-            apply_scaler(sc, toy(p=3))
-
-    def test_scaler_validation(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            Scaler(np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="finite"):
-            Scaler(np.array([np.nan]), np.array([1.0]))

@@ -99,11 +99,13 @@ def test_bad_settings_fail_in_one_line(tmp_path, name, flags, message):
 ])
 def test_unwritable_out_fails_in_one_line(tmp_path, name, flags):
     # the script opens --out before its first repetition, so it fails before printing any row
-    proc = run_script(name, "--train-n", "40", "--repetitions", "1", *flags,
-                      "--out", str(tmp_path / "missing" / "out.csv"))
+    out = tmp_path / "missing" / "out.csv"
+    proc = run_script(name, "--train-n", "40", "--repetitions", "1", *flags, "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    # the message names the path given, not the temporary written in its place
+    assert str(out) in proc.stderr and ".tmp" not in proc.stderr
 
 
 def load_script(name):
