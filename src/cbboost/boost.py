@@ -18,10 +18,9 @@ term to the classical single-weight recursion, bitwise.
 Training stops early when the vote would be nonpositive (the weak learner no
 longer beats weighted chance) or the weight mass underflows or overflows. A
 round keeps only the two weight vectors and its (beta, stump) term; the
-returned trace records why the run stopped and rebuilds the full
-per-iteration record on demand, for diagnostics and invariant checks, by
-rerunning the same loop with the recorded stumps in place of the weak
-learner.
+returned trace records why the run stopped and, for diagnostics and
+invariant checks, rebuilds the per-iteration rows on demand by rerunning
+the loop with the recorded stumps; the loop records each row itself.
 
 Scoring is by cell. The sorted distinct thresholds an ensemble uses on each
 feature cut the input space into cells, and every row of a cell passes the
@@ -307,11 +306,11 @@ def _check_trainable(ds: Dataset):
         raise ValueError("training data contains a single class")
 
 
-def _rounds(X, y, g, fit, cap: int, clamp: float, observe=None):
+def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
     # the one boosting loop, run by training and by the trace replay alike.
-    # fit(D, yprime) supplies each round's stump; observe, when given, sees
-    # every kept round's weights before and after its update. Returns the
-    # kept (beta, stump) terms, the stop reason and the final weights.
+    # fit(D, yprime) supplies each round's stump; the loop records each kept
+    # round's TraceRow into rows when handed a list. Returns the kept
+    # (beta, stump) terms, the stop reason and the final weights.
     # w_flip is None when every gamma is 1: it would start as exact zeros and
     # stay so (the clamped vote keeps exp(margin) finite). Then w_obs - 0 is
     # w_obs bit for bit and every sum over w_flip is +0.0, so the round skips
@@ -352,8 +351,24 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, observe=None):
         margin = np.where(hit, beta, -beta)
         w_obs_new = w_obs * np.exp(-margin)
         w_flip_new = None if w_flip is None else w_flip * np.exp(margin)
-        if observe is not None:
-            observe(w_obs, w_flip, absdiff, D, yprime, stump, beta, w_obs_new, w_flip_new)
+        if rows is not None:
+            # h is stump.predict(X) bit for bit; the stump's own error is
+            # measured against the effective labels it was trained on
+            h = np.where(hit, y, -y)
+            wrong_eff = h != yprime
+            _, raw_err = _vote_from_sums(float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), clamp)
+            rows.append(
+                TraceRow(
+                    w_observed=w_obs,
+                    w_flipped=np.zeros(y.size) if w_flip is None else w_flip,
+                    sample_weights=D,
+                    effective_labels=yprime,
+                    predictions=h,
+                    beta=beta,
+                    weighted_error=raw_err,
+                    risk_after=float(w_obs_new.sum() if w_flip is None else (w_obs_new + w_flip_new).sum()),
+                )
+            )
         w_obs, w_flip = w_obs_new, w_flip_new
     return terms, "budget", w_obs, w_flip
 
@@ -406,31 +421,8 @@ class _Replay(Sequence):
 
 
 def _replay(X, y, g, terms, clamp) -> list[TraceRow]:
-    zeros = np.zeros(y.size)
-    rows = []
-
-    def observe(w_obs, w_flip, absdiff, D, yprime, stump, beta, w_obs_new, w_flip_new):
-        h = stump.predict(X)
-        # the stump's own error is measured against the effective labels it
-        # was trained on
-        wrong_eff = h != yprime
-        _, raw_err = _vote_from_sums(float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), clamp)
-        flip, flip_new = (zeros, zeros) if w_flip is None else (w_flip, w_flip_new)
-        rows.append(
-            TraceRow(
-                w_observed=w_obs,
-                w_flipped=flip,
-                sample_weights=D,
-                effective_labels=yprime,
-                predictions=h,
-                beta=beta,
-                weighted_error=raw_err,
-                risk_after=float((w_obs_new + flip_new).sum()),
-            )
-        )
-
-    stumps = (stump for _, stump in terms)
-    _rounds(X, y, g, lambda D, yprime: next(stumps), len(terms), clamp, observe)
+    rows, stumps = [], (stump for _, stump in terms)
+    _rounds(X, y, g, lambda D, yprime: next(stumps), len(terms), clamp, rows)
     return rows
 
 

@@ -499,6 +499,13 @@ def noise_filter(
     return FilterReport(n=ds.n, kept=surv, rounds=tuple(rounds), aborted=aborted)
 
 
+def _kept_rows(ds: Dataset, reduced: FilterReport) -> np.ndarray:
+    # a report filtered on another dataset names rows of that set, not of ds
+    if reduced.n != ds.n:
+        raise ValueError(f"filter report covers {reduced.n} rows but the dataset has {ds.n}")
+    return reduced.kept
+
+
 def knn_confidence(
     ds: Dataset,
     reduced: FilterReport,
@@ -514,10 +521,13 @@ def knn_confidence(
     confidence g to 1 - g. Neighbours are served from `neighbours`, built
     here from ds when not given.
     """
-    kept = reduced.kept
+    # check a given table, then the report, before building a table (the costly search)
+    nb = None if neighbours is None else _neighbours_for(ds, neighbours, k, standardize)
+    kept = _kept_rows(ds, reduced)
     if kept.size <= k:
         raise ValueError(f"reference set has {kept.size} rows, need more than k={k}")
-    nb = _neighbours_for(ds, neighbours, k, standardize)
+    if nb is None:
+        nb = Neighbours(ds.features, k, standardize)
     nbr, redone = nb.nearest(np.arange(ds.n), kept, k)
     vote_log.debug(
         "knn vote: %d rows, %d served from the table, %d exact re-searches", ds.n, ds.n - redone, redone
@@ -550,7 +560,7 @@ def bayes_confidence(
     check_settings(form=form)
     if not (0.0 <= noise_level < 0.5):
         raise ValueError(f"noise_level must lie in [0, 0.5), got {noise_level}")
-    kept = reduced.kept
+    kept = _kept_rows(ds, reduced)
     Xr = ds.features[kept]
     yr = ds.labels[kept]
     p = ds.p
@@ -683,9 +693,13 @@ def read_gamma_csv(path) -> ConfidenceVector:
             if len(rec) != 1 or rec[0].strip() == "":
                 raise ValueError(f"{path}: row {r} must hold exactly one value")
             try:
-                vals.append(float(rec[0]))
+                v = float(rec[0])
             except ValueError:
                 raise ValueError(f"{path}: unparseable value {rec[0]!r} at row {r}") from None
+            # nan fails both comparisons, so non-finite values land here too
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{path}: gamma {rec[0]!r} at row {r} outside [0, 1]")
+            vals.append(v)
     if not vals:
         raise ValueError(f"{path}: no data rows")
     return ConfidenceVector(np.asarray(vals))

@@ -413,6 +413,34 @@ class TestPropositionChecker:
         with pytest.raises(ValueError, match="mode"):
             check_propositions(self.corrupt_trace(), mode="both")
 
+    def test_one_sided_vote_must_equal_the_bound(self):
+        # no instance carries two-sided mass, so the vote must equal the
+        # log-odds bound; the weights move as beta = 0.3 moves them, leaving
+        # the vote as the only violation
+        beta, w_obs = 0.3, np.array([0.6, 0.4])
+        row = TraceRow(
+            w_observed=w_obs,
+            w_flipped=np.zeros(2),
+            sample_weights=w_obs,
+            effective_labels=np.array([1, -1]),
+            predictions=np.array([1, 1]),
+            beta=beta,
+            weighted_error=0.4,
+            risk_after=1.0,
+        )
+        trace = BoostTrace(
+            rows=(row,),
+            final_w_observed=w_obs * np.exp([-beta, beta]),
+            final_w_flipped=np.zeros(2),
+            observed_labels=np.array([1, -1]),
+            epsilon_clamp=1e-12,
+            stop_reason="budget",
+        )
+        bound = 0.5 * math.log(0.6 / 0.4)
+        assert check_propositions(trace).violations == (
+            ("vote-bound", 0, -1, f"beta 0.3 != log-odds bound {bound!r} with no two-sided mass"),
+        )
+
 
 class TestModesAndStopRules:
     def test_resample_deterministic_in_seed(self):
@@ -534,6 +562,9 @@ class TestEnsembleApi:
             with pytest.raises(ValueError) as err:
                 fn(ens, X)
             assert str(err.value) == str(term_err.value) == "stump uses feature 3 but matrix has 2 columns"
+        for fn in (score, predict):
+            with pytest.raises(ValueError, match=r"expected a 2-d feature matrix, got shape \(4,\)"):
+                fn(ens, np.zeros(4))
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="positive and finite"):

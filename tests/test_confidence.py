@@ -179,6 +179,20 @@ class TestKnnConfidence:
         with pytest.raises(ValueError, match="need more than k=2"):
             knn_confidence(ds, small, k=2)
 
+    def test_report_from_another_dataset(self, monkeypatch):
+        # a report of the first 100 rows must not serve all 200, nor the
+        # reverse, and is rejected before a neighbour table is searched
+        big = gen_normal(200, seed=1)
+        small = Dataset(big.features[:100], big.labels[:100])
+        reports = {ds.n: noise_filter(ds) for ds in (big, small)}
+        monkeypatch.setattr(confidence, "Neighbours", None)
+        for ds, other in ((big, small), (small, big)):
+            report = reports[other.n]
+            with pytest.raises(ValueError, match=f"covers {other.n} rows but the dataset has {ds.n}"):
+                knn_confidence(ds, report)
+            with pytest.raises(ValueError, match=f"covers {other.n} rows but the dataset has {ds.n}"):
+                bayes_confidence(ds, report, 0.1)
+
     def test_standardize_knob_changes_geometry(self):
         # second feature dominates raw distances; z-scoring rebalances them
         rng = np.random.default_rng(4)
@@ -426,7 +440,13 @@ class TestGammaCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_gamma_csv(path)
         path.write_text("gamma\n1.7\n")
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"g.csv: gamma '1.7' at row 1 outside \[0, 1\]"):
+            read_gamma_csv(path)
+        path.write_text("gamma\n0.5\nnan\n")
+        with pytest.raises(ValueError, match=r"g.csv: gamma 'nan' at row 2 outside \[0, 1\]"):
+            read_gamma_csv(path)
+        path.write_text("gamma\n0.5\n0.5\n-inf\n")
+        with pytest.raises(ValueError, match=r"g.csv: gamma '-inf' at row 3 outside \[0, 1\]"):
             read_gamma_csv(path)
 
 

@@ -1,5 +1,7 @@
 """CSV ingestion, splitting, and label-noise injection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,9 @@ class TestCsv:
         path.write_text("a,b,label\n1,2,1\n3,,−1\n")
         with pytest.raises(ValueError, match="missing value at row 2, column 'b'"):
             load_csv(path)
+        path.write_text("a,label\n1,1\n2, \n")
+        with pytest.raises(ValueError, match="missing value at row 2, column 'label'"):
+            load_csv(path)
 
     def test_unparseable_cell(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -204,6 +209,8 @@ class TestSplit:
             split(ds, 1.0, seed=0)
         with pytest.raises(ValueError, match="leaves one part empty"):
             split(ds, 0.05, seed=0)
+        with pytest.raises(ValueError, match="need at least 2 rows to split"):
+            split(toy(n=1), 0.5, seed=0)
 
     @given(n=st.integers(2, 40), frac=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -254,6 +261,11 @@ class TestNoise:
     def test_mask_validates_count(self):
         with pytest.raises(ValueError, match="implies"):
             NoiseMask(np.array([True, True, False, False]), 0.25)
+        for flipped in (np.zeros((2, 2), dtype=bool), np.zeros(0, dtype=bool)):
+            with pytest.raises(ValueError, match=re.escape(f"non-empty 1-d bool array, got shape {flipped.shape}")):
+                NoiseMask(flipped, 0.0)
+        with pytest.raises(ValueError, match=r"noise rate must lie in \[0, 0.5\), got 0.5"):
+            NoiseMask(np.array([True, False]), 0.5)
 
     @given(n=st.integers(1, 60), rate=st.floats(0.0, 0.49), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)

@@ -309,6 +309,28 @@ class TestRunExperiment:
         assert cb_row[2] == "" and cb_row[3] == ""
         assert cb_row[4] == "0" and cb_row[5] == "3"
 
+    def test_method_failure_is_recorded_not_fatal(self):
+        # on 6 training rows no row's kNN confidence reaches 0.9, so
+        # discarding below it leaves no row to boost on: every disc cell
+        # fails in its trainer, while adaboost runs in every cell
+        cfg = ExperimentConfig(
+            train_n=6,
+            test_n=20,
+            methods=("adaboost", "disc:0.9"),
+            noise_levels=(0.0, 0.3),
+            repetitions=4,
+            boost=BoostConfig(max_iterations=5),
+        )
+        table = run_experiment(cfg)
+        for level in cfg.noise_levels:
+            ada = table.cell("adaboost", level)
+            assert ada.errors == (None,) * 4 and None not in ada.values
+            disc = table.cell("disc:0.9", level)
+            assert disc.values == (None,) * 4 and disc.stops == (None,) * 4
+            assert disc.errors == ("disc failed: discarding below 0.9 keeps only 0 rows",) * 4
+        failed = {(c["method"], c["noise_level"]): c["failed"] for c in json.loads(table_to_json(table))["cells"]}
+        assert failed == {("adaboost", 0.0): 0, ("adaboost", 0.3): 0, ("disc:0.9", 0.0): 4, ("disc:0.9", 0.3): 4}
+
 
 class TestCellResult:
     def test_mean_std_recomputed(self):

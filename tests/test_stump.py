@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbboost.stump import Stump, candidate_thresholds, train_stump
+from cbboost.stump import Presorted, Stump, candidate_thresholds, train_stump
 
 
 def brute_force(X, y, w):
@@ -87,6 +87,10 @@ class TestPredict:
         s = Stump(2, 0.0, 1)
         with pytest.raises(ValueError, match="feature 2"):
             s.predict(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"expected a 2-d feature matrix, got shape \(3,\)"):
+            s.predict(np.zeros(3))
+        with pytest.raises(ValueError, match=r"expected a non-empty 2-d feature matrix, got shape \(3,\)"):
+            Presorted(np.zeros(3))
 
 
 class TestCandidates:

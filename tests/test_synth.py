@@ -116,5 +116,8 @@ class TestSpec:
             SynthSpec("circles", 10, 0)
         with pytest.raises(ValueError, match="n >= 2"):
             SynthSpec("normal", 1, 0)
+        for gen in (gen_normal, gen_sine):
+            with pytest.raises(ValueError, match="need n >= 2, got 1"):
+                gen(1, 0)
         with pytest.raises(ValueError, match="unknown scenario"):
             bayes_label("circles", [0.0, 0.0])
