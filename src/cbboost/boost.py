@@ -306,6 +306,16 @@ def _check_trainable(ds: Dataset):
         raise ValueError("training data contains a single class")
 
 
+def _reweighed(w_obs, w_flip, hit, beta):
+    # w_obs * exp(-margin) and w_flip * exp(margin), where the margin
+    # (y * beta) * h is exactly +beta on hits and -beta on misses: each weight
+    # picks its factor from a two-entry exp, which holds the bits an n-long
+    # exp of the margin would (np.exp is elementwise; the tests check it at
+    # each SIMD dispatch level they run on)
+    shrink, grow = np.exp(np.array([-beta, beta]))
+    return w_obs * np.where(hit, shrink, grow), None if w_flip is None else w_flip * np.where(hit, grow, shrink)
+
+
 def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
     # the one boosting loop, run by training and by the trace replay alike.
     # fit(D, yprime) supplies each round's stump; the loop records each kept
@@ -315,7 +325,10 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
     # stay so (the clamped vote keeps exp(margin) finite). Then w_obs - 0 is
     # w_obs bit for bit and every sum over w_flip is +0.0, so the round skips
     # them and plain AdaBoost is the classical single-weight recursion, bitwise.
-    y_pos = y > 0
+    y_pos, y_neg = y > 0, -y
+    # one contiguous copy of the columns, so each round's hit mask reads its
+    # feature without a strided pass over X
+    columns = np.ascontiguousarray(X.T)
     w_obs, w_flip = g / y.size, (1.0 - g) / y.size
     w_flip = w_flip if w_flip.any() else None
     terms: list[tuple[float, Stump]] = []
@@ -324,7 +337,7 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
             absdiff, yprime = w_obs, y
         else:
             diff = w_obs - w_flip
-            absdiff, yprime = np.abs(diff), np.where(diff >= 0.0, y, -y)
+            absdiff, yprime = np.abs(diff), np.where(diff >= 0.0, y, y_neg)
         # ndarray.sum is np.sum without its dispatch cost, same reduction and bits
         S = float(absdiff.sum())
         if not math.isfinite(S) or S <= 0.0:
@@ -334,27 +347,25 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
         D = absdiff / S
         stump = fit(D, yprime)
         # hit: the stump's prediction matches the observed label
-        above = X[:, stump.feature] > stump.threshold
+        above = columns[stump.feature] > stump.threshold
         hit = above == y_pos if stump.polarity == 1 else above != y_pos
-        miss = ~hit
-        # compress gathers what boolean indexing would, a little faster
-        right_mass = float(w_obs.compress(hit).sum())
-        wrong_mass = float(w_obs.compress(miss).sum())
+        # take on the ascending positions gathers what boolean indexing would,
+        # in the same order; the positions serve both weight vectors
+        hits, misses = hit.nonzero()[0], (~hit).nonzero()[0]
+        right_mass = float(w_obs.take(hits).sum())
+        wrong_mass = float(w_obs.take(misses).sum())
         if w_flip is not None:
-            right_mass += float(w_flip.compress(miss).sum())
-            wrong_mass += float(w_flip.compress(hit).sum())
+            right_mass += float(w_flip.take(misses).sum())
+            wrong_mass += float(w_flip.take(hits).sum())
         beta, _ = _vote_from_sums(right_mass, wrong_mass, clamp)
         if beta <= 0.0:
             return terms, "nonpositive vote", w_obs, w_flip
         terms.append((beta, stump))
-        # margin = (y * beta) * h is exactly +beta on hits and -beta on misses
-        margin = np.where(hit, beta, -beta)
-        w_obs_new = w_obs * np.exp(-margin)
-        w_flip_new = None if w_flip is None else w_flip * np.exp(margin)
+        w_obs_new, w_flip_new = _reweighed(w_obs, w_flip, hit, beta)
         if rows is not None:
             # h is stump.predict(X) bit for bit; the stump's own error is
             # measured against the effective labels it was trained on
-            h = np.where(hit, y, -y)
+            h = np.where(hit, y, y_neg)
             wrong_eff = h != yprime
             _, raw_err = _vote_from_sums(float(absdiff[~wrong_eff].sum()), float(absdiff[wrong_eff].sum()), clamp)
             rows.append(

@@ -38,7 +38,10 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)
+        # real labels are checked as given, so 1.5 is rejected rather than cast to 1
+        if y.dtype.kind != "f":
+            y = np.asarray(self.labels, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
         if y.shape != (X.shape[0],):
@@ -50,7 +53,7 @@ class Dataset:
         if bad.size:
             raise ValueError(f"label at row {int(bad[0])} is {y[bad[0]]}, expected -1 or +1")
         object.__setattr__(self, "features", frozen(X))
-        object.__setattr__(self, "labels", frozen(y))
+        object.__setattr__(self, "labels", frozen(y, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -160,10 +163,11 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     if label_column in feature_names:
         raise ValueError(f"label column {label_column!r} clashes with a feature name in {feature_names}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(feature_names + [label_column])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.features[i]] + [str(int(ds.labels[i]))])
+        csv.writer(fh).writerow(feature_names + [label_column])
+        # a float's repr or an int never needs quoting, so each row is the
+        # cells joined by commas and csv.writer's line ending
+        rows = zip(ds.features.tolist(), ds.labels.tolist())
+        fh.writelines(f"{','.join(map(repr, row))},{label}\r\n" for row, label in rows)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

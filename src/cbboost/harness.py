@@ -16,7 +16,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -293,6 +292,10 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     # a fork pool starts every worker on the first submit, so start no more than there is work for
     workers = min(cfg.jobs, cfg.repetitions)
     if workers > 1:
+        # imported here: the process pool loads multiprocessing and socket,
+        # which a serial run and every other command would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_run_repetition, [cfg] * cfg.repetitions, range(cfg.repetitions)))
     else:

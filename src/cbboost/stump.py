@@ -4,14 +4,16 @@ The trainer scans all axis-aligned splits. Candidate thresholds per feature
 are the midpoints between consecutive distinct sorted values plus a -inf
 sentinel (constant prediction); comparisons are strict `>`. A presort
 (Presorted), built once per matrix, holds each column's stable sort order,
-thresholds and their split positions; a boosting run fits every round from
-one. Each fit runs one signed cumulative-sum sweep per feature, which scores
-both polarities of every candidate to within a rounding drift and brackets
-the optimum. A (candidate, polarity) pair alone in the bracket is the exact
-optimum; near-ties, and only they, are re-scored with a correctly rounded
-sum (math.fsum) so equal-error candidates genuinely tie. Ties are broken
-deterministically: lowest error, then lowest feature index, then lowest
-threshold, then polarity +1 before -1.
+thresholds and, per finite threshold, the position in the column's sorted
+running sum where its rows end; a boosting run fits every round from one.
+Each fit runs one running sum of the signed weights per feature. The sums
+at those positions score both polarities of every candidate to within a
+rounding drift, the sum's last entry gives the class totals, and the two
+together bracket the optimum. A (candidate, polarity) pair alone in the
+bracket is the exact optimum; near-ties, and only they, are re-scored with
+a correctly rounded sum (math.fsum) so equal-error candidates genuinely tie.
+Ties are broken deterministically: lowest error, then lowest feature index,
+then lowest threshold, then polarity +1 before -1.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class Stump:
             raise ValueError(f"feature index must be >= 0, got {self.feature}")
         if self.polarity not in (-1, 1):
             raise ValueError(f"polarity must be -1 or +1, got {self.polarity}")
-        if not (np.isfinite(self.threshold) or self.threshold == -np.inf):
+        if not (math.isfinite(self.threshold) or self.threshold == -math.inf):
             raise ValueError(f"threshold must be finite or -inf, got {self.threshold}")
 
     def predict(self, X) -> np.ndarray:
@@ -64,6 +66,11 @@ class Presorted:
     candidate_thresholds of the column and, for each threshold, the number
     of sorted values at or below it. The arrays are read-only copies, so the
     cache cannot fall out of step with the values it was built from.
+
+    at[j] picks, out of a running sum in column j's sorted order, the entry
+    of each finite threshold: that of the last value at or below it. It is
+    split[1:] - 1, or slice(0, n - 1), which reads a view, when those are
+    0 .. n - 2, as they are on distinct values.
     """
 
     def __init__(self, features):
@@ -72,15 +79,18 @@ class Presorted:
             raise ValueError(f"expected a non-empty 2-d feature matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
-        self.n = X.shape[0]
-        columns = []
+        self.n = n = X.shape[0]
+        columns, at = [], []
         for j in range(X.shape[1]):
             col = X[:, j]
             order = np.argsort(col, kind="stable")
             thr = candidate_thresholds(col)
             split = np.searchsorted(col[order], thr, side="right")
             columns.append(tuple(frozen(a) for a in (col, order, thr, split)))
+            last = split[1:] - 1
+            at.append(slice(0, n - 1) if np.array_equal(last, np.arange(n - 1)) else frozen(last))
         self.columns = tuple(columns)
+        self.at = tuple(at)
 
 
 def _reject(y, w, total):
@@ -94,6 +104,9 @@ def _reject(y, w, total):
     raise ValueError(f"total weight must be finite and positive, got {total}")
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def train_stump(features, labels, weights) -> Stump:
     """Exact weighted-error minimizer over all stump hypotheses.
 
@@ -102,7 +115,9 @@ def train_stump(features, labels, weights) -> Stump:
     common rescaling of the weights leaves the result unchanged.
     """
     ps = features if isinstance(features, Presorted) else Presorted(features)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
+    # a cast would truncate 1.5 to 1, so real labels other than -1 and +1 read as 0
+    y = (y == 1).astype(np.int64) - (y == -1) if y.dtype.kind == "f" else np.asarray(labels, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     n = ps.n
     if y.shape != (n,) or w.shape != (n,):
@@ -111,34 +126,44 @@ def train_stump(features, labels, weights) -> Stump:
         total = float(w.sum())
     # a finite total over a nonnegative minimum also rules out inf and nan
     # weights; only inputs that fail this pass are checked one by one
-    if not (math.isfinite(total) and total > 0.0 and w.min() >= 0.0 and (np.abs(y) == 1).all()):
+    if not (math.isfinite(total) and total > 0.0 and np.minimum.reduce(w) >= 0.0 and (np.abs(y) == 1).all()):
         _reject(y, w, total)
 
-    # One signed sweep per feature: cs[i] is the positive minus the negative
-    # weight at or below thr[i], so predicting +1 strictly above thr[i] errs
-    # by neg_total + cs[i] and predicting -1 by pos_total - cs[i]. The cumsum,
-    # the class totals and one add leave each entry within ~2 * n * eps *
-    # total of its exact error; the slack exceeds twice that, so every exact
-    # minimum lies within the cut, and a pair alone there beats every other
-    # pair exactly.
-    slack = 16.0 * np.finfo(np.float64).eps * (n + 4) * total
-    pos = y > 0
+    # One running sum of the signed weights per feature, in sorted order.
+    # cs = run[at] holds, for each finite threshold thr[i], the positive minus
+    # the negative weight at or below it (the -inf sentinel's is 0), so
+    # predicting +1 strictly above thr[i] errs by neg + cs[i - 1] and -1 by
+    # pos - cs[i - 1]. The sum's last entry, the whole positive minus negative
+    # weight, gives the class totals with the total: the lighter class holds
+    # half their difference, a form that cannot overflow. The running sum, the
+    # totals and one add leave each entry within ~1.5 * n * eps * total of its
+    # exact error; the slack is more than twice that and also covers the
+    # rounding of the bracket's bounds, so every exact minimum lies within the
+    # cut, and a pair alone there beats every other pair exactly.
+    slack = 16.0 * _EPS * (n + 4) * total
     sw = w * y
-    pos_total = float(w @ pos)
-    neg_total = total - pos_total
     sweeps = []
-    for _, order, _, k in ps.columns:
-        cs = np.concatenate(([0.0], np.cumsum(sw[order])))[k]
-        # rounding is monotone, so these are the minima of the two error arrays
-        sweeps.append((cs, min(neg_total + float(cs.min()), pos_total - float(cs.max()))))
-    cut = min(low for _, low in sweeps) + slack
+    for (_, order, _, _), at in zip(ps.columns, ps.at):
+        run = np.add.accumulate(sw.take(order))
+        r = float(run[-1])
+        light = 0.5 * (total - abs(r))
+        pos, neg = (total - light, light) if r >= 0.0 else (light, total - light)
+        cs = run[at]
+        # rounding is monotone, so these are the least errors of each polarity
+        low_plus = neg + float(np.minimum.reduce(cs, initial=0.0))
+        low_minus = pos - float(np.maximum.reduce(cs, initial=0.0))
+        sweeps.append((cs, neg, low_plus, pos, low_minus))
+    cut = min(min(s[2], s[4]) for s in sweeps) + slack
 
     # The bracketed pairs in tie-rule order: feature, threshold, +1 before -1.
     near = []
-    for j, (cs, low) in enumerate(sweeps):
-        if low <= cut:
-            err = np.column_stack((neg_total + cs, pos_total - cs))
-            near += [(j, f // 2, (1, -1)[f % 2]) for f in np.flatnonzero(err <= cut)]
+    for j, (cs, neg, low_plus, pos, low_minus) in enumerate(sweeps):
+        pairs = []
+        if low_plus <= cut:
+            pairs += [(0, 1)] * (neg <= cut) + [(i + 1, 1) for i in (cs <= cut - neg).nonzero()[0].tolist()]
+        if low_minus <= cut:
+            pairs += [(0, -1)] * (pos <= cut) + [(i + 1, -1) for i in (cs >= pos - cut).nonzero()[0].tolist()]
+        near += [(j, i, pol) for i, pol in sorted(pairs, key=lambda pair: (pair[0], -pair[1]))]
     # Near-ties are re-scored exactly: polarity pol is wrong where (x > t)
     # disagrees with (y * pol > 0). fsum rounds the true sum correctly, so
     # equal-error pairs compare equal and the first in visit order wins.

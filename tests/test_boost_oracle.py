@@ -14,6 +14,9 @@ the eager engine bit for bit, for any gamma.
 The third oracle is the term-by-term scoring kernel run on the rows
 themselves. Scoring by cell runs the same kernel on one point per cell and
 must give every row the kernel's score bit for bit.
+
+The last is the original weight update, an n-long exp of the signed
+margin; the engine's two-entry exp table must give the same bits.
 """
 
 import functools
@@ -447,3 +450,24 @@ def test_empirical_risk_by_cell_matches_the_kernel(gamma, n, path, kernel_rows):
         got = empirical_risk(ens, ds)
     assert same_bits(got, want)
     assert kernel_rows == [cell_count(ens) if path == "cells" else n]
+
+
+# the vote spans many scales: tiny, ordinary, and up to where exp(beta) nears overflow
+UPDATE_BETAS = np.concatenate(
+    ([1e-8, 0.5, 1.0, 700.0], np.logspace(-8, math.log10(700.0), 40), np.random.default_rng(40).uniform(0.0, 700.0, 60))
+)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 500, 5001])
+def test_two_value_update_matches_the_n_long_exp(n):
+    # the engine scales each weight by one entry of exp([-beta, beta]); the
+    # original update took exp of the whole signed margin, bit for bit the same
+    rng = np.random.default_rng(n)
+    for beta in UPDATE_BETAS.tolist():
+        w_obs, w_flip = rng.random(n), rng.random(n)
+        hit = rng.random(n) < 0.6
+        margin = np.where(hit, beta, -beta)
+        got_obs, got_flip = boost._reweighed(w_obs, w_flip, hit, beta)
+        assert same_bits(got_obs, w_obs * np.exp(-margin)), beta
+        assert same_bits(got_flip, w_flip * np.exp(margin)), beta
+        assert boost._reweighed(w_obs, None, hit, beta)[1] is None

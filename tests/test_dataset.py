@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, and label-noise injection."""
 
+import csv
 import re
 
 import numpy as np
@@ -38,6 +39,12 @@ class TestDataset:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="expected -1 or \\+1"):
             Dataset(np.zeros((3, 1)), [1, 0, -1])
+        # a fractional label is rejected, not truncated to +-1
+        with pytest.raises(ValueError, match="^label at row 0 is 1.5, expected -1 or \\+1$"):
+            Dataset(np.zeros((2, 1)), np.array([1.5, -1.9]))
+        with pytest.raises(ValueError, match="^label at row 1 is nan, expected -1 or \\+1$"):
+            Dataset(np.zeros((2, 1)), [1.0, np.nan])
+        assert Dataset(np.zeros((2, 1)), [1.0, -1.0]).labels.dtype == np.int64
 
     def test_rejects_nonfinite_features(self):
         X = np.zeros((2, 2))
@@ -73,6 +80,21 @@ class TestCsv:
         path = tmp_path / "d.csv"
         save_csv(ds, path)
         assert np.array_equal(load_csv(path).features, X)
+
+    @pytest.mark.parametrize("label_column", ["label", "my,label"])
+    def test_bytes_match_csv_writer(self, tmp_path, label_column):
+        # the row writer joins reprs itself; csv.writer on the same cells is the reference
+        X = np.array([[-0.0, 5e-324], [1e300, 123456789.0], [0.1, -1 / 3]])
+        ds = Dataset(X, [1, -1, 1])
+        path = tmp_path / "d.csv"
+        save_csv(ds, path, label_column=label_column)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", label_column])
+            for row, label in zip(X, [1, -1, 1]):
+                writer.writerow([repr(float(v)) for v in row] + [str(label)])
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert np.array_equal(load_csv(path, label_column=label_column).features, X)
 
     def test_custom_label_mapping(self, tmp_path):
         path = tmp_path / "d.csv"

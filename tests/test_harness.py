@@ -1,9 +1,12 @@
 """Benchmark harness: seed derivation, baselines, grids, and summaries."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -267,7 +270,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         got = run_experiment(small_grid(jobs=jobs, reps=reps))
         assert sizes == pools
         want = table if reps == 2 else run_experiment(small_grid(reps=reps))
@@ -636,3 +639,20 @@ class TestConfigEcho:
     def test_read_rejects_wrong_json_types(self, body, message):
         with pytest.raises(ValueError, match=f"^cfg.json: .*{message}"):
             config_from_echo(body, "cfg.json")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with more than one worker needs the pool; importing the
+    # package, its CLI and a serial grid must not load multiprocessing
+    code = (
+        "import sys\n"
+        "import cbboost, cbboost.cli\n"
+        "from cbboost.boost import BoostConfig\n"
+        "from cbboost.harness import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(train_n=30, test_n=30, noise_levels=(0.0,), methods=('adaboost',),\n"
+        "    repetitions=2, boost=BoostConfig(max_iterations=3), jobs=1))\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'socket') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

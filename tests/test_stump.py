@@ -169,6 +169,12 @@ class TestTrain:
         X = np.zeros((2, 1))
         with pytest.raises(ValueError, match="labels must be"):
             train_stump(X, [0, 1], [1.0, 1.0])
+        # a fractional label is rejected, not truncated to +-1
+        with pytest.raises(ValueError, match="^labels must be -1 or \\+1$"):
+            train_stump([[0.0], [1.0]], [1.7, -1.2], [1, 1])
+        with pytest.raises(ValueError, match="^labels must be -1 or \\+1$"):
+            train_stump(X, [1.0, np.nan], [1.0, 1.0])
+        assert train_stump(X, [1.0, -1.0], [1.0, 1.0]) == train_stump(X, [1, -1], [1.0, 1.0])
         with pytest.raises(ValueError, match="nonnegative"):
             train_stump(X, [1, -1], [1.0, -1.0])
         with pytest.raises(ValueError, match="positive"):

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbboost import boost
 from cbboost.boost import BoostConfig, train_adaboost
@@ -252,6 +254,73 @@ def test_random_fits_match_the_oracle():
         if trial % 10 == 0:
             # multiples of the smallest subnormal: the slack rounds to zero
             assert_same(X, y, np.maximum(np.round(w * 4), (w > 0) * 1.0) * 5e-324)
+
+
+def column(rng, kind, n):
+    """One feature column: distinct, tied, constant, or a few ulps apart."""
+    if kind == "distinct":
+        return rng.normal(size=n)
+    if kind == "tied":
+        return rng.integers(-2, 3, size=n).astype(np.float64)
+    if kind == "constant":
+        return np.full(n, 1.5)
+    # neighbours an ulp or two apart: a midpoint can round onto a value
+    return 1.0 + rng.integers(0, 4, size=n) * np.finfo(np.float64).eps
+
+
+COLUMN_KINDS = ("distinct", "tied", "constant", "ulps")
+
+
+@given(
+    n=st.integers(1, 60),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    scale=st.sampled_from([1.0, 1e-200, 1e200, "huge", "subnormal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_fit_matches_the_oracle_on_mixed_columns(n, kinds, zero_share, scale, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([column(rng, kind, n) for kind in kinds])
+    y, w = labels_and_weights(rng, n, zero_share)
+    if scale == "huge":
+        # a total near the largest double: the class totals must not overflow
+        w = w / w.sum() * 1.5e308
+    elif scale == "subnormal":
+        # multiples of the smallest subnormal: the slack rounds to zero
+        w = np.maximum(np.round(w * 4), (w > 0) * 1.0) * 5e-324
+    else:
+        w = w * scale
+    assert_same(X, y, w)
+
+
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_sums_at_split_positions_match_the_padded_cumsum(kind, n):
+    # run[at] must read, for every finite threshold, the entry the padded
+    # cumulative sum gives at that threshold's split position
+    rng = np.random.default_rng(n)
+    X = np.column_stack([column(rng, kind, n), rng.normal(size=n)])
+    ps = Presorted(X)
+    sw = rng.random(n) * rng.choice([-1.0, 1.0], size=n)
+    for (_, order, thr, split), at in zip(ps.columns, ps.at):
+        padded = np.concatenate(([0.0], np.cumsum(sw[order])))[split][1:]
+        run = np.add.accumulate(sw.take(order))
+        assert run[at].tobytes() == padded.tobytes()
+        assert run[at].size == thr.size - 1
+    # distinct values read their sums as a view, with no gather
+    assert isinstance(ps.at[1], slice)
+
+
+def test_midpoint_rounded_onto_a_value_takes_the_gather():
+    # (1 + eps + 1 + 2 eps) / 2 rounds to 1 + 2 eps, so that threshold has
+    # both rows at or below it and its sum is the last, not the first
+    eps = np.finfo(np.float64).eps
+    X = np.array([[1.0 + eps], [1.0 + 2 * eps]])
+    ps = Presorted(X)
+    assert ps.columns[0][2][1] == 1.0 + 2 * eps
+    assert ps.at[0].tolist() == [1]
+    assert_same(X, [1, -1], [1.0, 2.0], ps=ps)
 
 
 class TestOneSortPerRun:
