@@ -116,8 +116,9 @@ def train_stump(features, labels, weights) -> Stump:
     """
     ps = features if isinstance(features, Presorted) else Presorted(features)
     y = np.asarray(labels)
-    # a cast would truncate 1.5 to 1, so real labels other than -1 and +1 read as 0
-    y = (y == 1).astype(np.int64) - (y == -1) if y.dtype.kind == "f" else np.asarray(labels, dtype=np.int64)
+    # real labels are checked as given, so 1.5 is rejected rather than cast to 1
+    if y.dtype.kind != "f":
+        y = np.asarray(y, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     n = ps.n
     if y.shape != (n,) or w.shape != (n,):
