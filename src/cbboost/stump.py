@@ -63,14 +63,12 @@ class Presorted:
     """A feature matrix presorted for repeated stump fits.
 
     columns[j] holds column j's values, the stable order that sorts them,
-    candidate_thresholds of the column and, for each threshold, the number
-    of sorted values at or below it. The arrays are read-only copies, so the
-    cache cannot fall out of step with the values it was built from.
-
-    at[j] picks, out of a running sum in column j's sorted order, the entry
-    of each finite threshold: that of the last value at or below it. It is
-    split[1:] - 1, or slice(0, n - 1), which reads a view, when those are
-    0 .. n - 2, as they are on distinct values.
+    candidate_thresholds of the column and `at`, which picks out of a running
+    sum in that order the entry of each finite threshold: that of the last
+    value at or below it. `at` is an index array, or slice(0, n - 1), which
+    reads a view, when those entries are 0 .. n - 2, as they are on distinct
+    values. The arrays are read-only copies, so the cache cannot fall out of
+    step with the values it was built from.
     """
 
     def __init__(self, features):
@@ -80,17 +78,15 @@ class Presorted:
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
         self.n = n = X.shape[0]
-        columns, at = [], []
+        columns = []
         for j in range(X.shape[1]):
             col = X[:, j]
             order = np.argsort(col, kind="stable")
             thr = candidate_thresholds(col)
-            split = np.searchsorted(col[order], thr, side="right")
-            columns.append(tuple(frozen(a) for a in (col, order, thr, split)))
-            last = split[1:] - 1
-            at.append(slice(0, n - 1) if np.array_equal(last, np.arange(n - 1)) else frozen(last))
+            at = np.searchsorted(col[order], thr[1:], side="right") - 1
+            at = slice(0, n - 1) if np.array_equal(at, np.arange(n - 1)) else frozen(at)
+            columns.append((frozen(col), frozen(order), frozen(thr), at))
         self.columns = tuple(columns)
-        self.at = tuple(at)
 
 
 def _reject(y, w, total):
@@ -144,7 +140,7 @@ def train_stump(features, labels, weights) -> Stump:
     slack = 16.0 * _EPS * (n + 4) * total
     sw = w * y
     sweeps = []
-    for (_, order, _, _), at in zip(ps.columns, ps.at):
+    for _, order, _, at in ps.columns:
         run = np.add.accumulate(sw.take(order))
         r = float(run[-1])
         light = 0.5 * (total - abs(r))

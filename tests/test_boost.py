@@ -326,7 +326,20 @@ class TestInvariantsOnRandomTraces:
 
 
 class TestEngineBudget:
-    """Training holds O(n) memory and fits exactly one stump per weighted round."""
+    """Training holds O(n) memory and fits exactly one stump per round."""
+
+    @pytest.fixture()
+    def counted_fits(self, monkeypatch):
+        # perfbench's stump.* metrics time every call made through boost.train_stump
+        calls = []
+        fit = boost.train_stump
+
+        def counted(*args):
+            calls.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(boost, "train_stump", counted)
+        return calls
 
     def test_train_memory_with_rows_unread(self):
         noisy, _ = inject_label_noise(gen_normal(5000, 3), 0.2, 4)
@@ -344,39 +357,35 @@ class TestEngineBudget:
         "ds, g, fits",
         [
             (random_problem(0, n=200), np.ones(200), 200),
-            # 195 terms, then a 196th fit whose vote is nonpositive
-            (four_points(), np.array([0.9, 0.8, 0.7, 0.6]), 196),
+            # no term: the first fit's vote is exactly zero (each x holds a
+            # row of either label under equal gammas)
+            (Dataset(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1, -1, 1, -1])),
+             np.array([0.9, 0.9, 0.6, 0.6]), 1),
         ],
     )
-    def test_one_stump_fit_per_round(self, monkeypatch, ds, g, fits):
-        # perfbench's stump.* metrics time every call made through boost.train_stump
-        calls = []
-        fit = boost.train_stump
-
-        def counted(*args):
-            calls.append(1)
-            return fit(*args)
-
-        monkeypatch.setattr(boost, "train_stump", counted)
+    def test_one_stump_fit_per_round(self, counted_fits, ds, g, fits):
         train_cb_adaboost(ds, ConfidenceVector(g), BoostConfig(max_iterations=200))
-        assert len(calls) == fits
+        assert len(counted_fits) == fits
+
+    def test_one_stump_fit_per_resampled_round(self, counted_fits):
+        # 38 terms, then a 39th fit whose vote is exactly zero; the stop round
+        # does not depend on np.exp's last bit (test_boost_oracle's MIRROR)
+        ds = Dataset(np.repeat([[0.0], [1.0]], 3, axis=0), np.array([-1, 1, -1, 1, -1, 1]))
+        g = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        cfg = BoostConfig(max_iterations=200, learner_mode="resample", seed=2)
+        ens, _ = train_cb_adaboost(ds, ConfidenceVector(g), cfg)
+        assert (len(ens), len(counted_fits)) == (38, 39)
 
     @pytest.mark.parametrize("mode", ["weighted", "resample"])
-    def test_reading_rows_fits_no_stump(self, monkeypatch, mode):
+    def test_reading_rows_fits_no_stump(self, counted_fits, mode):
         # the replay reruns the training loop with the recorded stumps
         ds = random_problem(5, n=150)
         g = np.random.default_rng(5).uniform(size=ds.n)
         _, trace = train_cb_adaboost(ds, ConfidenceVector(g), BoostConfig(max_iterations=30, learner_mode=mode))
-        calls = []
-        fit = boost.train_stump
-
-        def counted(*args):
-            calls.append(1)
-            return fit(*args)
-
-        monkeypatch.setattr(boost, "train_stump", counted)
+        assert len(counted_fits) == 30
+        counted_fits.clear()
         assert len(list(trace.rows)) == trace.iterations == 30
-        assert calls == []
+        assert counted_fits == []
 
 
 class TestPropositionChecker:

@@ -282,6 +282,12 @@ def assert_replayed(got, want):
 
 
 FOUR = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1, -1, 1, 1]))
+# each x holds a row of either label: under equal gammas every stump's two
+# masses are the same sums, so the first vote is exactly zero
+PAIRS = Dataset(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1, -1, 1, -1]))
+# a gamma of 0 flips a row, so the effective labels are -1 at x=0, +1 at x=1
+MIRROR = Dataset(np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]]), np.array([-1, 1, -1, 1, -1, 1]))
+MIRROR_G = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
 
 
 def gammas(kind, ds, seed):
@@ -326,7 +332,7 @@ def test_plain_trainer_matches_eager_engine():
 @pytest.mark.parametrize(
     "ds, g, rounds, reason",
     [
-        (FOUR, [0.9, 0.8, 0.7, 0.6], 195, "nonpositive vote"),
+        (PAIRS, [0.9, 0.9, 0.6, 0.6], 0, "nonpositive vote"),
         (Dataset(np.array([[0.0], [0.0]]), np.array([1, -1])), [0.9, 0.9], 0, "nonpositive vote"),
         # one flipped row: the perfect stump repeats until the weights underflow
         (FOUR, [1.0, 1.0, 0.0, 1.0], 54, "weight mass not finite or zero"),
@@ -341,6 +347,22 @@ def test_replay_through_each_stop(ds, g, rounds, reason):
     got = train_cb_adaboost(ds, ConfidenceVector(g), cfg)
     assert (len(got[0]), got[1].stop_reason) == (rounds, reason)
     assert_replayed(got, eager_boost(ds, g, cfg))
+
+
+@pytest.mark.parametrize("nudge", [0.0, np.inf, -np.inf], ids=["exp", "exp an ulp up", "exp an ulp down"])
+def test_replay_through_a_later_nonpositive_vote(monkeypatch, nudge):
+    # A bootstrap sample holding both x values gives the separating stump, a
+    # round with no weighted error, so every weight shrinks by the same
+    # clamped factor; one holding a single x gives a constant stump, whose two
+    # masses are the same sums. The sample weights stay exactly uniform, so the
+    # draws, the stumps and the stop round do not depend on np.exp's last bit.
+    if nudge:
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: np.nextafter(exp(x), nudge))
+    cfg = BoostConfig(max_iterations=200, learner_mode="resample", seed=2)
+    got = train_cb_adaboost(MIRROR, ConfidenceVector(MIRROR_G), cfg)
+    assert (len(got[0]), got[1].stop_reason) == (38, "nonpositive vote")
+    assert_replayed(got, eager_boost(MIRROR, MIRROR_G, cfg))
 
 
 def test_rows_replay_once_and_only_when_read(monkeypatch):

@@ -412,6 +412,43 @@ def test_cells_table_peak_memory(cells):
     assert peak < 12e6
 
 
+@pytest.mark.parametrize("n, path, bound", [(5000, "cells", 6e6), (500, "blocked", 2e6)])
+def test_table_peak_memory_by_path(caplog, n, path, bound):
+    # the query blocks' temporaries set the peak of either search
+    X = gen_normal(n, seed=1).features
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
+        tracemalloc.start()
+        try:
+            Neighbours(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    ((_, _, got_path, *_),) = table_builds(caplog)
+    assert got_path == path
+    assert peak < bound
+
+
+@pytest.mark.parametrize("data, path", [
+    ("normal", "cells"),
+    ("normal p=5", "blocked"),
+    ("cauchy", "blocked"),
+])
+def test_table_does_not_depend_on_the_block(caplog, monkeypatch, data, path):
+    # a row's distances and ranking do not depend on which block holds it
+    rng = np.random.default_rng(3)
+    X = {
+        "normal": gen_normal(5000, seed=1).features,
+        "normal p=5": rng.normal(size=(2000, 5)),
+        "cauchy": rng.standard_cauchy(size=(2000, 2)),
+    }[data]
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
+        nb = Neighbours(X)
+        monkeypatch.setattr(confidence, "_BLOCK", 1 << 20)
+        big = Neighbours(X)
+    assert [args[2] for args in table_builds(caplog)] == [path, path]
+    assert big.table.tobytes() == nb.table.tobytes()
+
+
 def test_search_path_by_rows_and_features(caplog):
     assert_exact_table(gen_normal(5000, seed=1).features, 5, caplog, path="cells")
     assert_exact_table(gen_normal(500, seed=1).features, 5, caplog, path="blocked")

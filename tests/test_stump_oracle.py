@@ -146,13 +146,15 @@ def test_cache_is_a_read_only_copy():
     X = np.array([[2.0, 0.0], [1.0, 1.0], [3.0, 1.0]])
     ps = Presorted(X)
     X[:] = 0.0
-    col, order, thr, split = ps.columns[0]
+    col, order, thr, at = ps.columns[0]
     assert col.tolist() == [2.0, 1.0, 3.0]
     assert order.tolist() == [1, 0, 2]
     assert thr.tolist() == [-np.inf, 1.5, 2.5]
-    assert split.tolist() == [0, 1, 2]
-    for arrays in ps.columns:
-        for a in arrays:
+    assert at == slice(0, 2)
+    # the tied column's positions are an array
+    assert ps.columns[1][3].tolist() == [0]
+    for col, order, thr, at in ps.columns:
+        for a in (col, order, thr) + (() if isinstance(at, slice) else (at,)):
             assert not a.flags.writeable
 
 
@@ -303,13 +305,14 @@ def test_sums_at_split_positions_match_the_padded_cumsum(kind, n):
     X = np.column_stack([column(rng, kind, n), rng.normal(size=n)])
     ps = Presorted(X)
     sw = rng.random(n) * rng.choice([-1.0, 1.0], size=n)
-    for (_, order, thr, split), at in zip(ps.columns, ps.at):
+    for col, order, thr, at in ps.columns:
+        split = np.searchsorted(col[order], thr, side="right")
         padded = np.concatenate(([0.0], np.cumsum(sw[order])))[split][1:]
         run = np.add.accumulate(sw.take(order))
         assert run[at].tobytes() == padded.tobytes()
         assert run[at].size == thr.size - 1
     # distinct values read their sums as a view, with no gather
-    assert isinstance(ps.at[1], slice)
+    assert isinstance(ps.columns[1][3], slice)
 
 
 def test_midpoint_rounded_onto_a_value_takes_the_gather():
@@ -319,7 +322,7 @@ def test_midpoint_rounded_onto_a_value_takes_the_gather():
     X = np.array([[1.0 + eps], [1.0 + 2 * eps]])
     ps = Presorted(X)
     assert ps.columns[0][2][1] == 1.0 + 2 * eps
-    assert ps.at[0].tolist() == [1]
+    assert ps.columns[0][3].tolist() == [1]
     assert_same(X, [1, -1], [1.0, 2.0], ps=ps)
 
 
