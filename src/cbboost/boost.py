@@ -157,13 +157,13 @@ class BoostTrace:
     training itself holds O(n) memory; len(rows) needs no replay. A trace
     built by hand takes its rows as given.
 
-    stop_reason is one of STOP_REASONS.
+    The final weights are those after the last kept round, epsilon_clamp is
+    the run's error clamp, and stop_reason is one of STOP_REASONS.
     """
 
     rows: Sequence[TraceRow]
     final_w_observed: np.ndarray
     final_w_flipped: np.ndarray
-    observed_labels: np.ndarray
     epsilon_clamp: float
     stop_reason: str
 
@@ -172,7 +172,6 @@ class BoostTrace:
             raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
         object.__setattr__(self, "final_w_observed", frozen(self.final_w_observed, dtype=np.float64))
         object.__setattr__(self, "final_w_flipped", frozen(self.final_w_flipped, dtype=np.float64))
-        object.__setattr__(self, "observed_labels", frozen(self.observed_labels, dtype=np.int64))
 
     @property
     def iterations(self) -> int:
@@ -398,7 +397,6 @@ def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, B
         rows=_Replay(X, y, g, ensemble.terms, cfg.epsilon_clamp),
         final_w_observed=w_obs,
         final_w_flipped=np.zeros(train.n) if w_flip is None else w_flip,
-        observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stop_reason=stop_reason,
     )
@@ -458,25 +456,28 @@ def train_cb_adaboost(
     return _boost(train, gamma.gamma, cfg)
 
 
+# slack for rounding: a vote and its log-odds bound sum the same weights in
+# different orders (the trainer sums w_observed and w_flipped apart)
+_VOTE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PropositionReport:
     """Violations of the three per-round weight-dynamics guarantees.
 
     Each violation is (check, iteration, instance, detail); instance is -1
-    for the aggregate vote-bound check. An empty list means every guarantee
-    held on every round of the trace.
+    for the aggregate vote-bound check. ok means there are none: every
+    guarantee held on every round of the trace.
     """
 
-    iterations: int
     violations: tuple = ()
-    mode: str = "symmetric"
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def check_propositions(trace: BoostTrace, mode: str = "symmetric", tol: float = 1e-9) -> PropositionReport:
+def check_propositions(trace: BoostTrace) -> PropositionReport:
     """Verify the weight dynamics promised for the confidence-weighted trainer.
 
     Per recorded round m (with next-round weights taken from the following
@@ -487,8 +488,9 @@ def check_propositions(trace: BoostTrace, mode: str = "symmetric", tol: float = 
        |w_observed - w_flipped|;
     2. every instance the stump got right whose weight pair is already
        lopsided, max(pair) > exp(beta) * min(pair), ends with a strictly
-       smaller gap (mode="literal" instead reads the lopsidedness premise
-       one-sidedly as w_observed > exp(beta) * w_flipped);
+       smaller gap. This symmetric premise covers the one-sided reading
+       w_observed > exp(beta) * w_flipped: every pair that reading calls
+       lopsided, this one does too;
     3. the round's vote never exceeds the plain log-odds vote
        0.5 ln((1 - e') / e') of its effective-label error e', with equality
        only when no instance carries mass on both label readings at once.
@@ -496,8 +498,6 @@ def check_propositions(trace: BoostTrace, mode: str = "symmetric", tol: float = 
 
     Checks only report; nothing raises on violation.
     """
-    if mode not in ("symmetric", "literal"):
-        raise ValueError(f"mode must be 'symmetric' or 'literal', got {mode!r}")
     violations = []
     rows = trace.rows
     for m, row in enumerate(rows):
@@ -511,12 +511,7 @@ def check_propositions(trace: BoostTrace, mode: str = "symmetric", tol: float = 
             violations.append(
                 ("miss-grows", m, int(i), f"gap {gap[i]:.6g} -> {gap_next[i]:.6g} not larger")
             )
-        if mode == "symmetric":
-            lopsided = np.maximum(row.w_observed, row.w_flipped) > math.exp(row.beta) * np.minimum(
-                row.w_observed, row.w_flipped
-            )
-        else:
-            lopsided = row.w_observed > math.exp(row.beta) * row.w_flipped
+        lopsided = np.maximum(row.w_observed, row.w_flipped) > math.exp(row.beta) * np.minimum(row.w_observed, row.w_flipped)
         shrank = gap_next < gap
         for i in np.flatnonzero(~missed & lopsided & ~shrank):
             violations.append(
@@ -527,16 +522,16 @@ def check_propositions(trace: BoostTrace, mode: str = "symmetric", tol: float = 
         ref_beta, _ = _vote_from_sums(right, wrong, trace.epsilon_clamp)
         two_sided = float(np.sum(np.minimum(row.w_observed, row.w_flipped)))
         if two_sided > 0.0:
-            if not row.beta < ref_beta + tol:
+            if not row.beta < ref_beta + _VOTE_TOL:
                 violations.append(
                     ("vote-bound", m, -1, f"beta {row.beta!r} not below log-odds bound {ref_beta!r}")
                 )
         else:
-            if not abs(row.beta - ref_beta) <= tol:
+            if not abs(row.beta - ref_beta) <= _VOTE_TOL:
                 violations.append(
                     ("vote-bound", m, -1, f"beta {row.beta!r} != log-odds bound {ref_beta!r} with no two-sided mass")
                 )
-    return PropositionReport(iterations=len(rows), violations=tuple(violations), mode=mode)
+    return PropositionReport(violations=tuple(violations))
 
 
 def _fmt(x: float) -> str:
@@ -570,8 +565,8 @@ def ensemble_from_json(text: str) -> tuple[Ensemble, dict]:
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != "cbboost-ensemble":
         raise ValueError("not an ensemble file: missing format tag 'cbboost-ensemble'")
-    if obj.get("version") != 1:
-        raise ValueError(f"unsupported ensemble file version {obj.get('version')!r}")
+    if whole_number(obj.get("version"), "version") != 1:
+        raise ValueError(f"unsupported ensemble file version {obj['version']!r}")
     raw_terms = obj.get("terms", [])
     if not isinstance(raw_terms, list):
         raise ValueError("terms must be a JSON list")
@@ -592,10 +587,7 @@ def ensemble_from_json(text: str) -> tuple[Ensemble, dict]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed term {i}: {exc}") from None
-    stopped_at = obj.get("stopped_at", len(terms))
-    if type(stopped_at) is not int:
-        raise ValueError(f"stopped_at must be a whole number, got {stopped_at!r}")
-    ensemble = Ensemble(terms=tuple(terms), stopped_at=stopped_at)
+    ensemble = Ensemble(terms=tuple(terms), stopped_at=whole_number(obj.get("stopped_at", len(terms)), "stopped_at"))
     config = obj.get("config", {})
     if not isinstance(config, dict):
         raise ValueError("config block must be a JSON object")

@@ -409,9 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def reported(run, *args) -> int:
-    """Exit status of run(*args, out), out being the run's Staged: 2 after one
-    `error:` line for a ValueError, OSError or LinAlgError, else 0."""
+    """Exit status of run(*args, out), out being the run's Staged, logging at
+    the CBBOOST_LOG level: 2 after one `error:` line for a ValueError, OSError
+    or LinAlgError, an unknown level included, else 0."""
+    setting = os.environ.get("CBBOOST_LOG", "WARNING")
+    level = setting.upper()
     try:
+        # getLevelName maps a known level name to its number, anything else to a str
+        if not isinstance(logging.getLevelName(level), int):
+            raise ValueError(f"CBBOOST_LOG={setting!r} is not a log level, expected DEBUG, INFO, WARNING, "
+                             "ERROR or CRITICAL")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         with Staged() as out:
             run(*args, out)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
@@ -421,13 +429,6 @@ def reported(run, *args) -> int:
 
 
 def _run(args, out: Staged) -> None:
-    setting = os.environ.get("CBBOOST_LOG", "WARNING")
-    level = setting.upper()
-    # getLevelName maps a known level name to its number, anything else to a str
-    if not isinstance(logging.getLevelName(level), int):
-        raise ValueError(f"CBBOOST_LOG={setting!r} is not a log level, expected DEBUG, INFO, WARNING, "
-                         "ERROR or CRITICAL")
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     t0 = time.monotonic()
     run = args.func(args, out)
     if run is not None:

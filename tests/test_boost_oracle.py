@@ -90,7 +90,6 @@ def oracle_train_adaboost(train, cfg=BoostConfig()):
         rows=tuple(rows),
         final_w_observed=w,
         final_w_flipped=zeros,
-        observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stop_reason=stop_reason,
     )
@@ -110,7 +109,7 @@ def assert_identical(got, want):
         assert same_bits(b, bo) and s == so
     assert tr.stopped_early == tr_o.stopped_early
     assert tr.epsilon_clamp == tr_o.epsilon_clamp
-    for name in ("final_w_observed", "final_w_flipped", "observed_labels"):
+    for name in ("final_w_observed", "final_w_flipped"):
         assert same_bits(getattr(tr, name), getattr(tr_o, name)), name
     assert len(tr.rows) == len(tr_o.rows)
     for m, (r, ro) in enumerate(zip(tr.rows, tr_o.rows)):
@@ -203,7 +202,6 @@ def test_stop_reason_must_fit_stopped_early():
         rows=(),
         final_w_observed=np.ones(2),
         final_w_flipped=np.zeros(2),
-        observed_labels=np.array([1, -1]),
         epsilon_clamp=1e-12,
     )
     assert not BoostTrace(**fields, stop_reason="budget").stopped_early
@@ -269,7 +267,6 @@ def eager_boost(train, g, cfg=BoostConfig()):
         rows=tuple(rows),
         final_w_observed=w_obs,
         final_w_flipped=w_flip,
-        observed_labels=y,
         epsilon_clamp=cfg.epsilon_clamp,
         stop_reason=stop_reason,
     )

@@ -12,8 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *argv):
-    env = dict(os.environ)
+def run_script(name, *argv, **environ):
+    env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
@@ -106,6 +106,24 @@ def test_unwritable_out_fails_in_one_line(tmp_path, name, flags):
     assert "Traceback" not in proc.stderr
     # the message names the path given, not the temporary written in its place
     assert str(out) in proc.stderr and ".tmp" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("weight_traces.py", ["--iterations", "3"]),
+    ("confidence_table.py", ["--noise-levels", "0.2"]),
+])
+def test_log_level_from_environment(tmp_path, name, flags):
+    # the scripts log at CBBOOST_LOG's level and reject an unknown one, as the commands do
+    out = tmp_path / "out.csv"
+    argv = [name, "--train-n", "60", "--repetitions", "1", *flags, "--out", str(out)]
+    proc = run_script(*argv, CBBOOST_LOG="DEBUG")
+    assert proc.returncode == 0, proc.stderr
+    assert "\nDEBUG cbboost.confidence: " in "\n" + proc.stderr
+    out.unlink()
+    proc = run_script(*argv, CBBOOST_LOG="bogus")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: CBBOOST_LOG='bogus'") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def load_script(name):
