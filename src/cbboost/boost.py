@@ -45,7 +45,7 @@ import numpy as np
 from .confidence import ConfidenceVector
 from .dataset import Dataset
 from .stump import Presorted, Stump, train_stump
-from .util import frozen, real_number, sign_pm, whole_number
+from .util import distinct, frozen, real_number, sign_pm, whole_number
 
 __all__ = [
     "BoostConfig",
@@ -230,8 +230,8 @@ def _raw_score(ensemble: Ensemble, X) -> np.ndarray:
     # cells; every row of a cell meets the same side of every stump
     feature = np.array([s.feature for _, s in ensemble.terms], dtype=np.intp)
     threshold = np.array([s.threshold for _, s in ensemble.terms], dtype=np.float64)
-    used = np.unique(feature)
-    cuts = [np.unique(threshold[feature == f]) for f in used]
+    used = distinct(feature)
+    cuts = [distinct(threshold[feature == f]) for f in used]
     shape = tuple(c.size + 1 for c in cuts)
     cells = math.prod(shape)
     # more cells than rows (wide p, few rows) or no terms at all: score the rows

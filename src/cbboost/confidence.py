@@ -27,7 +27,9 @@ in chunks of similar candidate counts, so at most a quarter of the pairs a
 chunk computes are padding. Otherwise it is a brute-force O(n^2) search in
 query blocks of about 65 thousand pairwise differences (512 KB, sized to
 stay in cache), or one query's n*p when that is more. Both give the same
-table bit for bit, with the same tie rule, in O(block + n*k) memory.
+table bit for bit, with the same tie rule, in O(block + n*k) memory. The
+filter rounds and the vote read the table in blocks of rows as well, so
+serving holds the n x k neighbours it returns plus one block.
 CBBOOST_LOG=DEBUG logs one line per table build (rows, depth, search path,
 distance pairs computed, rows that needed a wider ring, seconds), one per
 filter round (threshold, survivors in, rows removed, re-searched rows) and
@@ -287,7 +289,9 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
         below.append(np.append(-np.inf, np.maximum.accumulate(hi)))
         above.append(np.append(np.minimum.accumulate(mn[::-1])[::-1], np.inf))
     padded = np.vstack([X, np.zeros((1, p))])  # candidate position n pads a list
-    table = np.empty((n, depth), dtype=np.int64)
+    # the working table in 32 bits while row indices fit, half the memory;
+    # Neighbours keeps an int64 copy
+    table = np.empty((n, depth), dtype=np.int32 if n < 2**31 else np.int64)
     pairs = widened = 0
     full = int(shape.max()) - 1  # the ring that covers the whole grid
     pending, rings = order, np.ones(n, dtype=np.int64)
@@ -310,6 +314,7 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
             base = np.where(inside, lead @ strides[:-1], 0)
             first = starts[base + np.maximum(c[:, -1:] - ring, 0)]
             runs = np.where(inside, starts[base + np.minimum(c[:, -1:] + ring, shape[-1] - 1) + 1] - first, 0)
+            del lead, inside, base  # the chunks below set the peak; these are spent
             width = runs.sum(axis=1)
             gap = np.full(rows.size, np.inf)
             for f in range(p):
@@ -342,6 +347,7 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
                 # a ring R keeps rows nearer than R cell sides inside the block
                 need = np.minimum(np.ceil(np.sqrt(kth[~done]) / side), full)
                 retry_rings.append(np.maximum(need.astype(np.int64), ring + 1))
+                del cand, d2, nearest  # spent; not held through the next chunk's gather
         pending, rings = np.concatenate(retry), np.concatenate(retry_rings)
         if ring == 1:
             widened = pending.size
@@ -351,13 +357,19 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
 def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int, pad: int) -> np.ndarray:
     """Each query's rows order[first[i, j] : first[i, j] + runs[i, j]] over j, padded with
     `pad` to `width` columns and sorted, so candidate position follows row index."""
-    lengths = runs.ravel()
-    total = int(lengths.sum())
     count = runs.sum(axis=1)
-    pos = np.arange(total) + np.repeat(first.ravel() - (np.cumsum(lengths) - lengths), lengths)
-    col = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    lengths = runs.ravel()
+    some = lengths > 0
+    head, lengths = first.ravel()[some], lengths[some]
+    # one running sum of ones walks the runs in turn: at each run's start it
+    # steps from the end of the run before to that run's first position
+    pos = np.ones(int(lengths.sum()), dtype=np.intp)
+    pos[np.cumsum(lengths[:-1])] = head[1:] - head[:-1] - lengths[:-1] + 1
+    pos[:1] = head[:1]
+    np.add.accumulate(pos, out=pos)
     cand = np.full((runs.shape[0], width), pad, dtype=np.int64)
-    cand[np.repeat(np.arange(runs.shape[0]), count), col] = order[pos]
+    # a query's first count[i] columns, in row-major order like its runs
+    cand[np.arange(width) < count[:, None]] = order[pos]
     cand.sort(axis=1)
     return cand
 
@@ -423,7 +435,7 @@ class Neighbours:
             "neighbour table: %d rows, depth %d, %s search, %d distance pairs, %d rows widened, %.3f s",
             ds.n, depth, path, pairs, widened, time.perf_counter() - t0,
         )
-        self.table = frozen(table)
+        self.table = frozen(table, np.int64)
 
     @property
     def n(self) -> int:
@@ -435,17 +447,23 @@ class Neighbours:
         A row's first k table entries in refs are exactly its k nearest refs
         under the (distance, index) rule, because the table is a prefix of
         that order over all rows. Rows with fewer than k such entries are
-        searched again among refs. Returns the neighbours' row indices and
-        the number of rows searched again.
+        searched again among refs. Rows are served in blocks, like
+        _k_nearest's queries: a block's four (rows, depth) integer
+        temporaries hold about _BLOCK entries together, so none grows with
+        rows. Returns the neighbours' row indices and the number of rows
+        searched again.
         """
         alive = np.zeros(self.n, dtype=bool)
         alive[refs] = True
-        cand = self.table[rows]
-        live = alive[cand]
-        take = live & (np.cumsum(live, axis=1) <= k)
-        short = np.count_nonzero(take, axis=1) < k
         nbr = np.empty((rows.size, k), dtype=np.int64)
-        nbr[~short] = cand[~short][take[~short]].reshape(-1, k)
+        short = np.empty(rows.size, dtype=bool)
+        step = max(1, _BLOCK // (4 * max(1, self.table.shape[1])))
+        for s in range(0, rows.size, step):
+            cand = self.table[rows[s : s + step]]
+            live = alive[cand]
+            take = live & (np.cumsum(live, axis=1) <= k)
+            few = short[s : s + step] = np.count_nonzero(take, axis=1) < k
+            nbr[s : s + step][~few] = cand[~few][take[~few]].reshape(-1, k)
         redo = np.flatnonzero(short)
         if redo.size:
             pos = np.full(self.n, -1, dtype=np.int64)

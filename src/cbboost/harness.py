@@ -331,6 +331,11 @@ def weight_trace_groups(trace, mask=None, gamma=None, conf_cut: float = 0.7) -> 
     check_conf_cut(conf_cut)
     if not trace.rows:
         raise ValueError("trace has no recorded iterations")
+    n = trace.rows[0].sample_weights.size
+    if mask is not None and mask.flipped.size != n:
+        raise ValueError(f"mask length {mask.flipped.size} does not match the trace's {n} rows")
+    if gamma is not None and gamma.n != n:
+        raise ValueError(f"confidence length {gamma.n} does not match the trace's {n} rows")
     D = np.stack([row.sample_weights for row in trace.rows])
     series = {}
     if mask is not None:

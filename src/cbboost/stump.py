@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import frozen
+from .util import distinct, frozen
 
 __all__ = ["Stump", "Presorted", "train_stump", "candidate_thresholds"]
 
@@ -55,7 +55,7 @@ class Stump:
 
 def candidate_thresholds(column) -> np.ndarray:
     """-inf plus midpoints of consecutive distinct sorted values of one column."""
-    u = np.unique(np.asarray(column, dtype=np.float64))
+    u = distinct(np.asarray(column, dtype=np.float64))
     return np.concatenate(([-np.inf], (u[:-1] + u[1:]) / 2.0))
 
 

@@ -6,6 +6,8 @@ the implementation, and frozen here.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -548,6 +550,30 @@ class TestEnsembleApi:
         # 2 x 2 cells: four rows are scored by cell, one row directly
         assert kernel_rows == [4, 4, 1]
 
+    @pytest.mark.parametrize("thresholds", [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, 1.5, -0.0],
+        [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 5e-324],
+        [-np.inf, 2.0, -np.inf, 2.0, -3.0],
+        [0.25],
+    ])
+    def test_cuts_are_np_unique(self, monkeypatch, thresholds):
+        # the sorted distinct features and thresholds that cut the space are
+        # np.unique's, bit for bit, signed zeros included
+        seen, real = [], boost.distinct
+
+        def spy(values):
+            seen.append((np.array(values), real(values)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(boost, "distinct", spy)
+        terms = tuple((1.0, Stump(f, t, 1 - 2 * (i % 2))) for i, t in enumerate(thresholds) for f in (2, 0))
+        X = np.random.default_rng(0).normal(size=(50, 3))
+        score(Ensemble(terms=terms, stopped_at=len(terms)), X)
+        assert len(seen) == 3  # the used features, then each one's thresholds
+        for values, got in seen:
+            assert got.tobytes() == np.unique(values).tobytes()
+
     def test_wrong_width_names_the_first_stump_out_of_range(self):
         terms = ((1.0, Stump(0, 0.0, 1)), (1.0, Stump(3, 0.0, 1)), (1.0, Stump(5, 0.0, 1)))
         ens = Ensemble(terms=terms, stopped_at=3)
@@ -684,3 +710,31 @@ class TestSerialization:
                 '{"format": "cbboost-ensemble", "version": 1, "stopped_at": 0,'
                 ' "terms": [], "config": [1]}'
             )
+
+
+def test_training_and_scoring_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (~9 ms, ~0.85 MB) in numpy 2.x; presorting,
+    # training, predicting and scoring take their distinct values without it
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from cbboost import boost, confidence\n"
+        "from cbboost.stump import Presorted\n"
+        "from cbboost.synth import gen_normal\n"
+        "ds = gen_normal(200, seed=1)\n"
+        "Presorted(ds.features)\n"
+        "gamma, _ = confidence.estimate_confidence(ds)\n"
+        "cfg = boost.BoostConfig(max_iterations=10)\n"
+        "ens, trace = boost.train_cb_adaboost(ds, gamma, cfg)\n"
+        "boost.train_adaboost(ds, cfg)\n"
+        "boost.predict(ens, ds.features)\n"
+        "boost.score(ens, ds.features)\n"
+        "boost.empirical_risk(ens, ds, gamma)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    # numpy before 2.0 imports numpy.ma itself; the library adds no import of it
+    assert after == before

@@ -118,6 +118,7 @@ def fallback_dataset(k):
 def block(request, monkeypatch):
     if request.param == "tiny blocks":
         monkeypatch.setattr(confidence, "_BLOCK", 64)
+    return request.param
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -155,6 +156,38 @@ def test_exhausted_table_falls_back_to_exact_search(block, k, caplog):
     assert re_searched == [0, 1]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_rows_served_in_blocks_still_re_search(block, k, caplog):
+    # under tiny blocks each call takes its rows off the table in several
+    # blocks, and the row whose whole table the filter removed is still
+    # searched again, in the second round and in the vote
+    ds = fallback_dataset(k)
+    nb = Neighbours(ds.features, k=k, standardize=False)
+    served = []
+
+    class Served(np.ndarray):
+        def __getitem__(self, rows):
+            served.append(len(rows))
+            return np.asarray(self)[rows]
+
+    nb.table = nb.table.view(Served)
+    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
+        report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False, neighbours=nb)
+        gamma = knn_confidence(ds, report, k=k, standardize=False, neighbours=nb)
+    want = oracle_noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False)
+    assert_same_report(report, want)
+    assert gamma.gamma.tobytes() == oracle_knn_confidence(ds, want, k=k, standardize=False).gamma.tobytes()
+    names = ("cbboost.confidence", "cbboost.confidence.vote")
+    re_searched = [rec.args[-1] for rec in caplog.records if rec.name in names]
+    assert re_searched[0] == 0 and re_searched[1] >= 1 and re_searched[2] >= 1
+    calls = [ds.n, ds.n - report.rounds[0].removed.size, ds.n]  # two rounds, then the vote
+    assert sum(served) == sum(calls)
+    if block == "one block":
+        assert served == calls
+    else:
+        assert len(served) > 2 * len(calls)
+
+
 def test_filter_round_debug_lines(caplog):
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
         report = noise_filter(fallback_dataset(1), k=1, thresholds=(0.6, 0.7), standardize=False)
@@ -175,6 +208,30 @@ def test_peak_memory_below_one_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 * 8
+
+
+@pytest.fixture(scope="module")
+def served_at_20000():
+    noisy, _ = inject_label_noise(gen_normal(20000, seed=1), 0.2, seed=2)
+    nb = Neighbours(noisy.features)
+    return noisy, nb, noise_filter(noisy, neighbours=nb)
+
+
+@pytest.mark.parametrize("stage", ["filter", "vote"])
+def test_serving_holds_no_table_sized_temporary(served_at_20000, stage):
+    # rows are served in blocks, so neither stage's peak reaches the size of
+    # the table it reads (3.2 MB here; a whole-table gather took ~10 MB)
+    noisy, nb, report = served_at_20000
+    tracemalloc.start()
+    try:
+        if stage == "filter":
+            noise_filter(noisy, neighbours=nb)
+        else:
+            knn_confidence(noisy, report, neighbours=nb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nb.table.nbytes
 
 
 @pytest.mark.parametrize("data", ["normal", "grid ties"])

@@ -411,6 +411,17 @@ class TestWeightTraceGroups:
         trace, _, gamma = self.make_trace()
         assert set(weight_trace_groups(trace, gamma=gamma, conf_cut=0.5)) == {"high_certainty"}
 
+    def test_wrong_length_mask_rejected(self):
+        trace, _, _ = self.make_trace()
+        _, short = inject_label_noise(Dataset(np.zeros((10, 1)), np.ones(10)), 0.2, seed=1)
+        with pytest.raises(ValueError, match="mask length 10 does not match the trace's 20 rows"):
+            weight_trace_groups(trace, mask=short)
+
+    def test_wrong_length_gamma_rejected(self):
+        trace, mask, _ = self.make_trace()
+        with pytest.raises(ValueError, match="confidence length 21 does not match the trace's 20 rows"):
+            weight_trace_groups(trace, mask=mask, gamma=ConfidenceVector(np.full(21, 0.9)))
+
     def test_empty_trace_rejected(self):
         X = np.array([[0.0], [0.0]])
         _, trace = train_adaboost(Dataset(X, [1, -1]))  # aborts with no rounds

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbboost.stump import Presorted, Stump, candidate_thresholds, train_stump
+from cbboost.util import distinct
 
 
 def brute_force(X, y, w):
@@ -93,6 +94,10 @@ class TestPredict:
             Presorted(np.zeros(3))
 
 
+# signed zeros, subnormals, the smallest normal, repeats, infinities and NaN
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.0, np.inf, -np.inf, np.nan]
+
+
 class TestCandidates:
     def test_midpoints_plus_sentinel(self):
         thr = candidate_thresholds([3.0, 1.0, 2.0, 1.0])
@@ -100,6 +105,32 @@ class TestCandidates:
 
     def test_constant_column(self):
         assert candidate_thresholds([5.0, 5.0]).tolist() == [-np.inf]
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0],
+        [-0.0, 1.0, 0.0, -1.0, -0.0],
+        [5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308, 5e-324],
+        [2.0, 2.0, 1.0, 2.0, 1.0],
+        [np.inf, -np.inf, 0.0, np.inf],
+        [7.25],
+        [np.nan],
+        [np.nan, 1.0, np.nan, -0.0, np.nan, 0.0],
+    ])
+    def test_distinct_values_match_np_unique(self, column):
+        # NaN collapses to one, and the sort decides which zero stands for a mix
+        with np.errstate(invalid="ignore"):  # -inf and +inf have a NaN midpoint
+            want = np.unique(np.asarray(column, dtype=np.float64))
+            want = np.concatenate(([-np.inf], (want[:-1] + want[1:]) / 2.0))
+            assert candidate_thresholds(column).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(EDGE_VALUES), max_size=80), st.lists(st.integers(0, 6), max_size=80))
+    def test_distinct_matches_np_unique(self, values, features):
+        # the reals a column holds, and the feature indices an ensemble uses
+        for a in (np.array(values, dtype=np.float64), np.array(features, dtype=np.intp)):
+            assert distinct(a).dtype == np.unique(a).dtype
+            assert distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 class TestTrain:
