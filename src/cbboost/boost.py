@@ -10,6 +10,11 @@ the log-odds of a correctness mass crediting w_observed where the stump
 matches the observed label and w_flipped where it disagrees, then scales
 w_observed by exp(-y * beta * h) and w_flipped by the reciprocal factor.
 
+Both modes fit the run's one presort (stump.Presorted): weighted mode on
+the round's weights, resample mode on a bootstrap drawn from them, weighing
+each row by its draw count; that gives the stump a fit on the drawn copies
+would, threshold bits included.
+
 train_cb_adaboost runs the engine on a given gamma. train_adaboost is plain
 AdaBoost, the engine with gamma identically 1: w_flipped stays 0, the
 effective labels are the observed ones, and every quantity reduces term by
@@ -33,6 +38,7 @@ row.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -44,7 +50,7 @@ import numpy as np
 
 from .confidence import ConfidenceVector
 from .dataset import Dataset
-from .stump import Presorted, Stump, train_stump
+from .stump import Presorted, Stump, sample_threshold, train_stump
 from .util import distinct, frozen, real_number, sign_pm, whole_number
 
 __all__ = [
@@ -289,13 +295,19 @@ def _vote_from_sums(right: float, wrong: float, clamp: float) -> tuple[float, fl
     return 0.5 * math.log((1.0 - e) / e), raw
 
 
-def _fit_weak(X, labels, D, cfg: BoostConfig, rng) -> Stump:
-    # weighted mode fits on the run's one Presorted; train_stump presorts each bootstrap
+def _fit_weak(ps: Presorted, cfg: BoostConfig, rng, D, labels) -> Stump:
+    # Both modes fit the run's one Presorted. Resample mode fits the bootstrap
+    # X[idx] by its draw counts. A copy weighs fl(1/n) there, so a pair's
+    # exact error fl(k * fl(1/n)) rises strictly with its k wrong copies: the
+    # integer counts (summed exactly; undrawn rows weigh 0) give the same
+    # argmin and ties. A finite optimum has drawn values on both sides, else
+    # the -inf sentinel would tie it and come first; it takes the bootstrap's
+    # own threshold for the same split of the drawn values.
     if cfg.learner_mode == "weighted":
-        return train_stump(X, labels, D)
-    n = X.shape[0]
-    idx = rng.choice(n, size=n, replace=True, p=D)
-    return train_stump(X[idx], labels[idx], np.full(n, 1.0 / n))
+        return train_stump(ps, labels, D)
+    counts = np.bincount(rng.choice(ps.n, size=ps.n, replace=True, p=D), minlength=ps.n)
+    s = train_stump(ps, labels, counts)
+    return Stump(s.feature, sample_threshold(ps.columns[s.feature][0][counts > 0], s.threshold), s.polarity)
 
 
 def _check_trainable(ds: Dataset):
@@ -315,19 +327,17 @@ def _reweighed(w_obs, w_flip, hit, beta):
     return w_obs * np.where(hit, shrink, grow), None if w_flip is None else w_flip * np.where(hit, grow, shrink)
 
 
-def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
+def _rounds(ps: Presorted, y, g, fit, cap: int, clamp: float, rows=None):
     # the one boosting loop, run by training and by the trace replay alike.
-    # fit(D, yprime) supplies each round's stump; the loop records each kept
-    # round's TraceRow into rows when handed a list. Returns the kept
-    # (beta, stump) terms, the stop reason and the final weights.
+    # fit(D, yprime) supplies each round's stump, and each hit mask reads its
+    # feature's contiguous column from ps; the loop records each kept round's
+    # TraceRow into rows when handed a list. Returns the kept (beta, stump)
+    # terms, the stop reason and the final weights.
     # w_flip is None when every gamma is 1: it would start as exact zeros and
     # stay so (the clamped vote keeps exp(margin) finite). Then w_obs - 0 is
     # w_obs bit for bit and every sum over w_flip is +0.0, so the round skips
     # them and plain AdaBoost is the classical single-weight recursion, bitwise.
     y_pos, y_neg = y > 0, -y
-    # one contiguous copy of the columns, so each round's hit mask reads its
-    # feature without a strided pass over X
-    columns = np.ascontiguousarray(X.T)
     w_obs, w_flip = g / y.size, (1.0 - g) / y.size
     w_flip = w_flip if w_flip.any() else None
     terms: list[tuple[float, Stump]] = []
@@ -346,7 +356,7 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
         D = absdiff / S
         stump = fit(D, yprime)
         # hit: the stump's prediction matches the observed label
-        above = columns[stump.feature] > stump.threshold
+        above = ps.columns[stump.feature][0] > stump.threshold
         hit = above == y_pos if stump.polarity == 1 else above != y_pos
         # take on the ascending positions gathers what boolean indexing would,
         # in the same order; the positions serve both weight vectors
@@ -386,12 +396,9 @@ def _rounds(X, y, g, fit, cap: int, clamp: float, rows=None):
 def _boost(train: Dataset, g: np.ndarray, cfg: BoostConfig) -> tuple[Ensemble, BoostTrace]:
     X, y = train.features, train.labels
     rng = np.random.default_rng(cfg.seed)
-    fit_X = Presorted(X) if cfg.learner_mode == "weighted" else X
-
-    def fit(D, yprime):
-        return _fit_weak(fit_X, yprime, D, cfg, rng)
-
-    terms, stop_reason, w_obs, w_flip = _rounds(X, y, g, fit, cfg.iteration_cap(train.n), cfg.epsilon_clamp)
+    ps = Presorted(X)
+    fit = functools.partial(_fit_weak, ps, cfg, rng)
+    terms, stop_reason, w_obs, w_flip = _rounds(ps, y, g, fit, cfg.iteration_cap(train.n), cfg.epsilon_clamp)
     ensemble = Ensemble(terms=tuple(terms), stopped_at=len(terms))
     trace = BoostTrace(
         rows=_Replay(X, y, g, ensemble.terms, cfg.epsilon_clamp),
@@ -431,7 +438,7 @@ class _Replay(Sequence):
 
 def _replay(X, y, g, terms, clamp) -> list[TraceRow]:
     rows, stumps = [], (stump for _, stump in terms)
-    _rounds(X, y, g, lambda D, yprime: next(stumps), len(terms), clamp, rows)
+    _rounds(Presorted(X), y, g, lambda D, yprime: next(stumps), len(terms), clamp, rows)
     return rows
 
 

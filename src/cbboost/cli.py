@@ -5,9 +5,11 @@ RunManifest JSON next to the primary output at <output>.manifest.json, with
 the tool version, the subcommand, the fully resolved configuration, all seeds,
 SHA-256 digests of the inputs, the output list and the seconds the whole
 command took; train's also records why the run stopped, its rounds and its
-final two-sided risk. JSON outputs embed the manifest filename; CSV outputs
-carry no comment rows (their schemas are strict), so their link to the
-manifest is the filename convention itself. eval without --out writes none.
+final two-sided risk. train names a stop other than its budget in its
+summary line too, and refuses a run that stopped before its first term.
+JSON outputs embed the manifest filename; CSV outputs carry no comment rows
+(their schemas are strict), so their link to the manifest is the filename
+convention itself. eval without --out writes none.
 Every file a command or script writes, manifests included, is staged in the
 run's one `Staged` and replaces its path only when the whole run succeeds.
 
@@ -256,6 +258,9 @@ def cmd_train(args, out: Staged) -> Written:
         gamma = read_gamma_csv(args.gamma)
         inputs.append(args.gamma)
     ensemble, trace = fit_method(args.algo, args.threshold, ds, gamma, cfg)
+    log.info("train: %d terms, stop reason %s", len(ensemble), trace.stop_reason)
+    if not ensemble.terms:
+        raise ValueError(f"training stopped before its first term ({trace.stop_reason}); no model written")
     config = {
         "algo": args.algo,
         "iterations": cfg.max_iterations,
@@ -267,8 +272,9 @@ def cmd_train(args, out: Staged) -> Written:
         "manifest": _manifest_path(args.out),
     }
     save_ensemble(ensemble, tmp, config)
+    stop = "" if trace.stop_reason == "budget" else f", stop reason {trace.stop_reason}"
     return Written(config=config, seeds={"seed": cfg.seed}, inputs=inputs,
-                   summary=f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at})",
+                   summary=f"wrote {args.out} ({len(ensemble)} terms, stopped_at {ensemble.stopped_at}{stop})",
                    result={"stop_reason": trace.stop_reason, "rounds": len(ensemble), "final_risk": trace.final_risk})
 
 

@@ -288,7 +288,6 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
         np.minimum.at(mn, coord[:, f], G[:, f])
         below.append(np.append(-np.inf, np.maximum.accumulate(hi)))
         above.append(np.append(np.minimum.accumulate(mn[::-1])[::-1], np.inf))
-    padded = np.vstack([X, np.zeros((1, p))])  # candidate position n pads a list
     # the working table in 32 bits while row indices fit, half the memory;
     # Neighbours keeps an int64 copy
     table = np.empty((n, depth), dtype=np.int32 if n < 2**31 else np.int64)
@@ -335,9 +334,9 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
                 end = min(q + max(1, _BLOCK // (w * p)), int(np.searchsorted(falling, -3 * w, side="right")))
                 chunk = wide[q:end]
                 q = end
-                cand = _gather_runs(order, first[chunk], runs[chunk], w, n)
-                d2 = _sq_dists(X[rows[chunk]], padded, cand)
-                d2[cand == n] = np.inf
+                # a list is padded with its own row, which is masked out with it
+                cand = _gather_runs(order, first[chunk], runs[chunk], w, rows[chunk])
+                d2 = _sq_dists(X[rows[chunk]], X, cand)
                 d2[cand == rows[chunk, None]] = np.inf
                 pairs += d2.size
                 nearest, kth = _rank(d2, depth)
@@ -354,9 +353,9 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     return table, pairs, widened
 
 
-def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int, pad: int) -> np.ndarray:
+def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int, pad: np.ndarray) -> np.ndarray:
     """Each query's rows order[first[i, j] : first[i, j] + runs[i, j]] over j, padded with
-    `pad` to `width` columns and sorted, so candidate position follows row index."""
+    pad[i] to `width` columns and sorted, so candidate position follows row index."""
     count = runs.sum(axis=1)
     lengths = runs.ravel()
     some = lengths > 0
@@ -367,7 +366,7 @@ def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: 
     pos[np.cumsum(lengths[:-1])] = head[1:] - head[:-1] - lengths[:-1] + 1
     pos[:1] = head[:1]
     np.add.accumulate(pos, out=pos)
-    cand = np.full((runs.shape[0], width), pad, dtype=np.int64)
+    cand = np.repeat(pad.astype(np.int64)[:, None], width, axis=1)
     # a query's first count[i] columns, in row-major order like its runs
     cand[np.arange(width) < count[:, None]] = order[pos]
     cand.sort(axis=1)
@@ -396,8 +395,10 @@ def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
     """The features z-scored by column (population std; a constant column is scaled by 1)."""
     if not standardize:
         return ds.features
-    mu = ds.features.mean(axis=0)
-    sd = ds.features.std(axis=0)
+    # a moment that overflows is refused below, with no numpy warning first
+    with np.errstate(over="ignore"):
+        mu = ds.features.mean(axis=0)
+        sd = ds.features.std(axis=0)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
         raise ValueError("cannot standardize: a feature column's mean or standard deviation overflows")
     return frozen((ds.features - mu) / np.where(sd == 0.0, 1.0, sd))

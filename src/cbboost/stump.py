@@ -5,7 +5,8 @@ are the midpoints between consecutive distinct sorted values plus a -inf
 sentinel (constant prediction); comparisons are strict `>`. A presort
 (Presorted), built once per matrix, holds each column's stable sort order,
 thresholds and, per finite threshold, the position in the column's sorted
-running sum where its rows end; a boosting run fits every round from one.
+running sum where its rows end; both modes of a boosting run fit every round
+from the run's one presort (resample mode weighs each row by its draw count).
 Each fit runs one running sum of the signed weights per feature. The sums
 at those positions score both polarities of every candidate to within a
 rounding drift, the sum's last entry gives the class totals, and the two
@@ -53,10 +54,39 @@ class Stump:
         return np.where(X[:, self.feature] > self.threshold, self.polarity, -self.polarity).astype(np.int64)
 
 
+def _midpoint(a, b) -> np.ndarray:
+    """(a + b) / 2 elementwise, also where a + b overflows.
+
+    Where the sum is finite, (a + b) / 2 rounds the exact midpoint correctly
+    and is kept bit for bit. Where it overflows, a and b are too large for
+    halving to round, so a / 2 + b / 2 rounds the same midpoint correctly.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        m = (a + b) / 2.0
+    with np.errstate(invalid="ignore"):
+        halves = a / 2.0 + b / 2.0
+    return np.where(np.isinf(m), halves, m)
+
+
 def candidate_thresholds(column) -> np.ndarray:
     """-inf plus midpoints of consecutive distinct sorted values of one column."""
     u = distinct(np.asarray(column, dtype=np.float64))
-    return np.concatenate(([-np.inf], (u[:-1] + u[1:]) / 2.0))
+    return np.concatenate(([-np.inf], _midpoint(u[:-1], u[1:])))
+
+
+def sample_threshold(values, t: float) -> float:
+    """The first of candidate_thresholds(values) that splits values where t does.
+
+    values is not empty, and t is -inf, returned as is, or leaves values on
+    both sides of it. With a the largest value at or below t, the candidate
+    is the midpoint of a and the next value, unless that of the value before
+    a and a rounded onto a.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    a = values[values <= t].max(initial=-np.inf)
+    m = _midpoint([values[values < a].max(initial=-np.inf), a], [a, values[values > t].min(initial=np.inf)])
+    return float(m[m >= a][0])
 
 
 class Presorted:

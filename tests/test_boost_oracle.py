@@ -3,8 +3,10 @@
 The oracle below is the original single-weight trainer: one weight per
 instance, a stump fitted to the normalized weights, a vote from the
 log-odds of its weighted accuracy and a multiplicative exp(-y beta h)
-update. train_adaboost now runs the confidence-weighted engine with every
-gamma at 1 and must reproduce the oracle's ensembles and traces bit for bit.
+update. Its weak learner fits the weights, or in resample mode the
+bootstrap's own copies of the rows. train_adaboost now runs the
+confidence-weighted engine with every gamma at 1 and must reproduce the
+oracle's ensembles and traces bit for bit.
 
 A second oracle, eager_boost, is the two-weight engine as it was while it
 stored every TraceRow as it went. The engine now keeps only what the next
@@ -40,9 +42,20 @@ from cbboost.boost import (
 )
 from cbboost.confidence import ConfidenceVector, estimate_confidence
 from cbboost.dataset import Dataset, inject_label_noise
-from cbboost.stump import Presorted, Stump
+from cbboost.stump import Presorted, Stump, train_stump
 from cbboost.synth import gen_normal
 from cbboost.util import sign_pm
+
+
+def reference_fit(X, y, D, cfg, rng):
+    # the per-sample weak learner: weighted mode fits the weights, resample
+    # mode the bootstrap's own copies of the rows, each weighing 1/n; the
+    # engine fits its one Presorted by draw counts and must agree
+    if cfg.learner_mode == "weighted":
+        return train_stump(X, y, D)
+    n = X.shape[0]
+    idx = rng.choice(n, size=n, replace=True, p=D)
+    return train_stump(X[idx], y[idx], np.full(n, 1.0 / n))
 
 
 def oracle_train_adaboost(train, cfg=BoostConfig()):
@@ -62,7 +75,7 @@ def oracle_train_adaboost(train, cfg=BoostConfig()):
             stop_reason = "weight mass not finite or zero"
             break
         D = w / S
-        stump = boost._fit_weak(X, y, D, cfg, rng)
+        stump = reference_fit(X, y, D, cfg, rng)
         h = stump.predict(X)
         wrong = h != y
         right_mass = float(np.sum(w[~wrong]))
@@ -232,7 +245,7 @@ def eager_boost(train, g, cfg=BoostConfig()):
             break
         D = absdiff / S
         yprime = np.where(diff >= 0.0, y, -y)
-        stump = boost._fit_weak(fit_X, yprime, D, cfg, rng)
+        stump = reference_fit(fit_X, yprime, D, cfg, rng)
         h = stump.predict(X)
         wrong = h != y
         right = ~wrong

@@ -181,6 +181,27 @@ class TestManifest:
         assert result == {"stop_reason": reason, "rounds": rounds, "final_risk": trace.final_risk}
         assert (trace.stop_reason, trace.iterations) == (reason, rounds)
 
+    def test_train_names_a_stop_before_the_budget(self, tmp_path):
+        # separable: the weights underflow after 54 rounds of a 200 budget
+        data, model = tmp_path / "separable.csv", tmp_path / "m.json"
+        save_csv(Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1, -1, 1, 1])), data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbboost", "train", "--in", str(data), "--out", str(model), "--algo", "adaboost"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "CBBOOST_LOG": "INFO"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        reason = "stop reason weight mass not finite or zero"
+        assert proc.stdout == f"wrote {model} (54 terms, stopped_at 54, {reason})\n"
+        assert f"INFO cbboost: train: 54 terms, {reason}\n" in proc.stderr
+
+    def test_train_summary_of_a_full_budget(self, pipeline, capsys):
+        model = pipeline / "m.json"
+        out = run_ok(capsys, "train", "--in", str(pipeline / "noisy.csv"), "--out", str(model),
+                     "--algo", "adaboost", "--iterations", "5")
+        assert out == f"wrote {model} (5 terms, stopped_at 5)\n"
+
     def test_contents(self, pipeline):
         manifest = json.loads((pipeline / "gamma.csv.manifest.json").read_text())
         assert manifest["tool"] == "cbboost"
@@ -492,6 +513,30 @@ class TestErrors:
             "--out", str(pipeline / "m.json"), "--algo", "adaboost", "--stop", "sometimes",
         )
         assert "stop rule" in err
+
+    def test_zero_term_model_is_refused(self, tmp_path, capsys):
+        # identical rows with balanced labels: the first vote is nonpositive
+        data = tmp_path / "same.csv"
+        save_csv(Dataset(np.ones((200, 2)), np.tile([-1, 1], 100)), data)
+        err = run_fail(capsys, "train", "--in", str(data), "--out", str(tmp_path / "m.json"), "--algo", "adaboost")
+        assert err == "error: training stopped before its first term (nonpositive vote); no model written\n"
+        assert os.listdir(tmp_path) == ["same.csv"]
+
+    def test_overflowing_standardization_fails_in_one_line(self, tmp_path):
+        # the column's squared deviations overflow; numpy must not warn first
+        data = tmp_path / "huge.csv"
+        col = np.array([(-1) ** i * 1e307 * (1 + i / 40) for i in range(40)])
+        save_csv(Dataset(np.column_stack([col, np.arange(40.0)]), np.tile([-1, 1], 20)), data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbboost", "confidence", "--in", str(data), "--out", str(tmp_path / "g.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: cannot standardize: a feature column's mean or standard deviation overflows\n"
+        )
+        assert os.listdir(tmp_path) == ["huge.csv"]
 
     def test_unknown_subcommand_exits_two(self):
         proc = subprocess.run(

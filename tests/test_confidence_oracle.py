@@ -445,8 +445,9 @@ def test_cells_chunks_of_similar_width(cells, block, caplog, monkeypatch, data):
 
     def spy(queries, refs, cand=None):
         if cand is not None:
-            # refs is X plus one pad row, which padding columns name
-            chunks.append((cand.shape, np.count_nonzero(cand != refs.shape[0] - 1, axis=1)))
+            # a list's padding repeats its own row, so its real candidates
+            # are the distinct rows it names
+            chunks.append((cand.shape, np.count_nonzero(np.diff(cand, axis=1), axis=1) + 1))
         return sq_dists(queries, refs, cand)
 
     monkeypatch.setattr(confidence, "_sq_dists", spy)

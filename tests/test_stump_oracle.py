@@ -5,11 +5,13 @@ again, recomputes its candidate thresholds and split positions, and then
 runs the same cumulative-sum bracket and the original exact re-scoring pass,
 which predicts and masks each polarity separately. Fitting on a Presorted
 matrix, built once and swept many times, must return the same (feature,
-threshold, polarity) bit for bit.
+threshold, polarity) bit for bit. So must resample mode's fit of the run's
+Presorted by draw counts, against a fit on the bootstrap's own copies.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from cbboost import boost
 from cbboost.boost import BoostConfig, train_adaboost
 from cbboost.dataset import inject_label_noise
-from cbboost.stump import Presorted, candidate_thresholds, train_stump
+from cbboost.stump import Presorted, candidate_thresholds, sample_threshold, train_stump
 from cbboost.synth import gen_normal
 
 
@@ -259,13 +261,20 @@ def test_random_fits_match_the_oracle():
 
 
 def column(rng, kind, n):
-    """One feature column: distinct, tied, constant, or a few ulps apart."""
+    """One feature column: distinct, tied, constant, a few ulps apart, or one of the bootstrap kinds."""
     if kind == "distinct":
         return rng.normal(size=n)
     if kind == "tied":
         return rng.integers(-2, 3, size=n).astype(np.float64)
     if kind == "constant":
         return np.full(n, 1.5)
+    if kind == "repeated rows":
+        return rng.normal(size=max(1, n // 4))[rng.integers(0, max(1, n // 4), size=n)]
+    if kind == "near the largest double":
+        return rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 1.79, size=n) * 1e308
+    if kind == "around zero":
+        # the smallest subnormals and both zeros: midpoints round to even
+        return rng.integers(-3, 4, size=n) * 5e-324 * rng.choice([-1.0, 1.0], size=n)
     # neighbours an ulp or two apart: a midpoint can round onto a value
     return 1.0 + rng.integers(0, 4, size=n) * np.finfo(np.float64).eps
 
@@ -326,6 +335,77 @@ def test_midpoint_rounded_onto_a_value_takes_the_gather():
     assert_same(X, [1, -1], [1.0, 2.0], ps=ps)
 
 
+def test_midpoint_of_values_near_the_largest_double():
+    # the sum of two such values overflows; the midpoint must not, so the
+    # separating stump is found (checked by its predictions, since the
+    # oracle's thresholds come from the same candidate_thresholds)
+    X = np.array([[1.5e308], [1.6e308], [1.7e308], [1.75e308]])
+    y = np.array([-1, -1, 1, 1])
+    for features in (X, Presorted(X)):
+        stump = train_stump(features, y, np.ones(4))
+        assert 1.6e308 < stump.threshold < 1.7e308
+        assert stump.predict(X).tolist() == y.tolist()
+    # every midpoint is the exact one, correctly rounded, as (a + b) / 2 is
+    # where the sum does not overflow
+    for col in (X[:, 0], [-1.7e308, 0.1, 1.7e308], [-1.75e308, -1.5e308, 5e-324]):
+        u = sorted(col)
+        want = [float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(u, u[1:])]
+        assert candidate_thresholds(col)[1:].tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied", "ulps", "around zero"])
+def test_sample_threshold_is_the_first_candidate_of_the_same_split(kind):
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(2, 30))
+        col = column(rng, kind, n)
+        sample = col[(rng.random(n) < 0.6) | (np.arange(n) == 0)]
+        xs = np.sort(sample)
+        below = lambda t: np.searchsorted(xs, t, side="right")
+        for t in candidate_thresholds(col):
+            if t == -np.inf or 0 < below(t) < xs.size:
+                want = next(c for c in candidate_thresholds(sample) if below(c) == below(t))
+                assert float(sample_threshold(sample, t)).hex() == float(want).hex()
+
+
+def bootstrap_fit(X, y, D, seed):
+    # the per-sample reference: the bootstrap's own copies, each weighing 1/n
+    n = X.shape[0]
+    idx = np.random.default_rng(seed).choice(n, size=n, replace=True, p=D)
+    return train_stump(X[idx], y[idx], np.full(n, 1.0 / n))
+
+
+def count_fit(X, y, D, seed):
+    cfg = BoostConfig(learner_mode="resample")
+    return boost._fit_weak(Presorted(X), cfg, np.random.default_rng(seed), D, y)
+
+
+BOOTSTRAP_KINDS = COLUMN_KINDS + ("repeated rows", "near the largest double", "around zero")
+
+
+@given(
+    n=st.integers(2, 80),
+    kinds=st.lists(st.sampled_from(BOOTSTRAP_KINDS), min_size=1, max_size=3),
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
+    draw=st.sampled_from(["spread", "few rows", "one class"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=400, deadline=None)
+def test_count_fit_matches_the_bootstrap_fit(n, kinds, scale, draw, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([column(rng, kind, n) * (scale if kind in COLUMN_KINDS else 1.0) for kind in kinds])
+    y = rng.choice([-1, 1], size=n)
+    D = rng.random(n)
+    if draw == "few rows":
+        D[rng.random(n) < 0.8] = 0.0
+        D[rng.integers(n)] = 1.0
+    elif draw == "one class":
+        # the draw holds only the rows of one label
+        D[y != y[0]] = 0.0
+    D = D / D.sum()
+    assert bits(count_fit(X, y, D, seed)) == bits(bootstrap_fit(X, y, D, seed))
+
+
 class TestOneSortPerRun:
     """Every Presorted construction is counted, wherever it happens."""
 
@@ -357,9 +437,9 @@ class TestOneSortPerRun:
         assert ens.stopped_at == 200
         assert counts == {"presorts": 1, "fits": 200}
 
-    def test_resample_run_presorts_every_round(self, counts, train):
+    def test_resample_run_presorts_once(self, counts, train):
         ens, trace = train_adaboost(train, BoostConfig(max_iterations=40, learner_mode="resample"))
         # a run stopped by a nonpositive vote fitted one stump it did not keep
         assert counts["fits"] == ens.stopped_at + trace.stopped_early > 1
-        assert counts["presorts"] == counts["fits"]
+        assert counts["presorts"] == 1
 
