@@ -24,10 +24,12 @@ comes from a uniform cell grid (Bentley 1975): each row ranks only the rows
 of the cells around its own, widening the ring of cells until no row outside
 can come closer, so the search grows about linearly in n. Rows are ranked
 in chunks of similar candidate counts, so at most a quarter of the pairs a
-chunk computes are padding. Otherwise it is a brute-force O(n^2) search in
-query blocks of about 65 thousand pairwise differences (512 KB, sized to
-stay in cache), or one query's n*p when that is more. Both give the same
-table bit for bit, with the same tie rule, in O(block + n*k) memory. The
+chunk computes are padding; a chunk sums its squared distances one feature
+plane at a time, in the order the blocked search's einsum adds them.
+Otherwise it is a brute-force O(n^2) search in query blocks of about 65
+thousand pairwise differences (512 KB, sized to stay in cache), or one
+query's n*p when that is more. Both give the same table bit for bit, with
+the same tie rule, in O(block + n*k) memory. The
 filter rounds and the vote read the table in blocks of rows as well, so
 serving holds the n x k neighbours it returns plus one block.
 CBBOOST_LOG=DEBUG logs one line per table build (rows, depth, search path,
@@ -163,16 +165,27 @@ class FilterReport:
 def _sq_dists(queries: np.ndarray, refs: np.ndarray, cand: np.ndarray | None = None) -> np.ndarray:
     # exact per-pair differences; the usual |a|^2 + |b|^2 - 2ab expansion is
     # faster but its rounding can split true distance ties, which would break
-    # the lower-index tie rule. Every query meets all m refs, or with cand
-    # (q, c) query i meets refs[cand[i]] only. d is filled one feature at a
-    # time for long inner loops; the reduction stays one einsum over the
-    # contiguous (q, m or c, p) array, so every pair's sum runs in the same
-    # fixed order whichever layout it came from.
-    width = refs.shape[0] if cand is None else cand.shape[1]
-    d = np.empty((queries.shape[0], width, refs.shape[1]))
-    for j in range(refs.shape[1]):
-        np.subtract(queries[:, j, None], refs[:, j] if cand is None else refs[cand, j], out=d[:, :, j])
-    return np.einsum("ijk,ijk->ij", d, d)
+    # the lower-index tie rule. Every query meets all m refs: the (q, m, p)
+    # differences are filled one feature at a time and reduced by one einsum.
+    # With cand (q, c), query i meets refs[cand[i]] only (p <= 3, the cell
+    # grid's): each feature gives one (q, c) plane of squares, taken from a
+    # contiguous column of refs, and the planes add in the order einsum's
+    # baseline loop adds p <= 3 terms (lane 0 the even features, lane 1 the
+    # odd, then the lanes): d0^2, d0^2 + d1^2 and (d0^2 + d2^2) + d1^2. So a
+    # pair's sum has the bits the blocked search gives it, which the tests
+    # check at each SIMD dispatch level they run on.
+    if cand is None:
+        d = np.empty((queries.shape[0], refs.shape[0], refs.shape[1]))
+        for j in range(refs.shape[1]):
+            np.subtract(queries[:, j, None], refs[:, j], out=d[:, :, j])
+        return np.einsum("ijk,ijk->ij", d, d)
+    out = None
+    for j in (*range(0, refs.shape[1], 2), *range(1, refs.shape[1], 2)):
+        d = refs[:, j].take(cand)
+        np.subtract(queries[:, j, None], d, out=d)
+        np.multiply(d, d, out=d)
+        out = d if out is None else np.add(out, d, out=out)
+    return out
 
 
 def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
@@ -241,8 +254,8 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     a row with too few candidates doubles R. Queries are taken in order of
     width, in chunks whose rows are at least 3/4 as wide as their first; a
     chunk is padded to that first row's width, so at most a quarter of its
-    pairs are padding, and every (queries, candidates, p) temporary stays near
-    _BLOCK doubles. Returns the table, the distance pairs computed (padding
+    pairs are padding, and its queries x candidates x p stay near _BLOCK (its
+    distance planes hold two (queries, candidates) arrays at most). Returns the table, the distance pairs computed (padding
     included) and the number of rows that needed a wider ring; or None, before
     any distance is computed, where the blocked search is the one to use: too
     many features or too few rows (_CELL_GRID), a span whose squares overflow
@@ -257,12 +270,16 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
         if not np.isfinite(np.sum(np.square(span))):
             return None
     side = _cell_side(span, n / _CELL_GRID[p][1])
-    # the grid's own copy, the dimension with the most cells last, so a block
-    # is a few long runs of consecutive cells
-    G = X[:, np.argsort(span, kind="stable")]
-    lo = G.min(axis=0)
-    shape = ((G.max(axis=0) - lo) // side).astype(np.int64) + 1
-    coord = np.minimum(((G - lo) // side).astype(np.int64), shape - 1)
+    # the search's one copy of X, column-contiguous, so the distance planes
+    # take from its columns. The grid reads them with the dimension with the
+    # most cells last, so a block is a few long runs of consecutive cells.
+    XF = np.asfortranarray(X)
+    G = [XF[:, f] for f in np.argsort(span, kind="stable")]
+    lo = np.array([g.min() for g in G])
+    shape = ((np.array([g.max() for g in G]) - lo) // side).astype(np.int64) + 1
+    coord = np.column_stack(
+        [np.minimum(((g - g0) // side).astype(np.int64), s - 1) for g, g0, s in zip(G, lo, shape)]
+    )
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     cell = coord @ strides
     counts = np.bincount(cell, minlength=int(np.prod(shape)))
@@ -283,9 +300,9 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     below, above = [], []
     for f in range(p):
         hi = np.full(shape[f], -np.inf)
-        np.maximum.at(hi, coord[:, f], G[:, f])
+        np.maximum.at(hi, coord[:, f], G[f])
         mn = np.full(shape[f], np.inf)
-        np.minimum.at(mn, coord[:, f], G[:, f])
+        np.minimum.at(mn, coord[:, f], G[f])
         below.append(np.append(-np.inf, np.maximum.accumulate(hi)))
         above.append(np.append(np.minimum.accumulate(mn[::-1])[::-1], np.inf))
     # the working table in 32 bits while row indices fit, half the memory;
@@ -317,7 +334,7 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
             width = runs.sum(axis=1)
             gap = np.full(rows.size, np.inf)
             for f in range(p):
-                g = G[rows, f]
+                g = G[f][rows]
                 gap = np.minimum(gap, g - below[f][np.maximum(c[:, f] - ring, 0)])
                 gap = np.minimum(gap, above[f][np.minimum(c[:, f] + ring + 1, shape[f])] - g)
             bound = np.square(np.maximum(gap, 0.0))
@@ -336,7 +353,7 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
                 q = end
                 # a list is padded with its own row, which is masked out with it
                 cand = _gather_runs(order, first[chunk], runs[chunk], w, rows[chunk])
-                d2 = _sq_dists(X[rows[chunk]], X, cand)
+                d2 = _sq_dists(X[rows[chunk]], XF, cand)
                 d2[cand == rows[chunk, None]] = np.inf
                 pairs += d2.size
                 nearest, kth = _rank(d2, depth)
@@ -360,12 +377,11 @@ def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: 
     lengths = runs.ravel()
     some = lengths > 0
     head, lengths = first.ravel()[some], lengths[some]
-    # one running sum of ones walks the runs in turn: at each run's start it
-    # steps from the end of the run before to that run's first position
-    pos = np.ones(int(lengths.sum()), dtype=np.intp)
-    pos[np.cumsum(lengths[:-1])] = head[1:] - head[:-1] - lengths[:-1] + 1
-    pos[:1] = head[:1]
-    np.add.accumulate(pos, out=pos)
+    # the runs back to back: entry t of run r, which starts at entry s_r,
+    # reads position head[r] + (t - s_r)
+    ends = np.cumsum(lengths)
+    pos = np.repeat(head - (ends - lengths), lengths)
+    pos += np.arange(pos.size)
     cand = np.repeat(pad.astype(np.int64)[:, None], width, axis=1)
     # a query's first count[i] columns, in row-major order like its runs
     cand[np.arange(width) < count[:, None]] = order[pos]

@@ -13,6 +13,8 @@ rounding drift, the sum's last entry gives the class totals, and the two
 together bracket the optimum. A (candidate, polarity) pair alone in the
 bracket is the exact optimum; near-ties, and only they, are re-scored with
 a correctly rounded sum (math.fsum) so equal-error candidates genuinely tie.
+Whole-number weights (draw counts) totalling under 2^53 need no re-scoring:
+the sweep's own sums are then exact.
 Ties are broken deterministically: lowest error, then lowest feature index,
 then lowest threshold, then polarity +1 before -1.
 """
@@ -55,18 +57,21 @@ class Stump:
 
 
 def _midpoint(a, b) -> np.ndarray:
-    """(a + b) / 2 elementwise, also where a + b overflows.
+    """A threshold that splits a < b: their midpoint, or a where it rounds onto b.
 
     Where the sum is finite, (a + b) / 2 rounds the exact midpoint correctly
     and is kept bit for bit. Where it overflows, a and b are too large for
     halving to round, so a / 2 + b / 2 rounds the same midpoint correctly.
+    Only ulp-adjacent a and b (or an infinite b) have a midpoint that rounds
+    onto b, which x > t could not tell from b; a splits them instead.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     with np.errstate(over="ignore"):
         m = (a + b) / 2.0
     with np.errstate(invalid="ignore"):
         halves = a / 2.0 + b / 2.0
-    return np.where(np.isinf(m), halves, m)
+    m = np.where(np.isinf(m), halves, m)
+    return np.where(m == b, a, m)
 
 
 def candidate_thresholds(column) -> np.ndarray:
@@ -76,17 +81,17 @@ def candidate_thresholds(column) -> np.ndarray:
 
 
 def sample_threshold(values, t: float) -> float:
-    """The first of candidate_thresholds(values) that splits values where t does.
+    """The one of candidate_thresholds(values) that splits values where t does.
 
     values is not empty, and t is -inf, returned as is, or leaves values on
-    both sides of it. With a the largest value at or below t, the candidate
-    is the midpoint of a and the next value, unless that of the value before
-    a and a rounded onto a.
+    both sides of it. Each finite candidate lies in [a, b) for the two
+    consecutive distinct values it comes from, so this one is that of the
+    values either side of t.
     """
+    if t == -np.inf:
+        return t
     values = np.asarray(values, dtype=np.float64)
-    a = values[values <= t].max(initial=-np.inf)
-    m = _midpoint([values[values < a].max(initial=-np.inf), a], [a, values[values > t].min(initial=np.inf)])
-    return float(m[m >= a][0])
+    return float(_midpoint(values[values <= t].max(), values[values > t].min()))
 
 
 class Presorted:
@@ -191,12 +196,25 @@ def train_stump(features, labels, weights) -> Stump:
         if low_minus <= cut:
             pairs += [(0, -1)] * (pos <= cut) + [(i + 1, -1) for i in (cs >= pos - cut).nonzero()[0].tolist()]
         near += [(j, i, pol) for i, pol in sorted(pairs, key=lambda pair: (pair[0], -pair[1]))]
-    # Near-ties are re-scored exactly: polarity pol is wrong where (x > t)
-    # disagrees with (y * pol > 0). fsum rounds the true sum correctly, so
-    # equal-error pairs compare equal and the first in visit order wins.
+    # Near-ties are scored exactly, so equal-error pairs compare equal and the
+    # first in visit order wins. With whole weights totalling under 2^53 every
+    # sum above is an integer below 2^53 and so exact (the lighter class is
+    # half the even total - |r|): the sweep's errors are the true ones.
+    # Otherwise they are re-scored: polarity pol is wrong where (x > t)
+    # disagrees with (y * pol > 0), and fsum rounds the true sum correctly.
+    # take on the ascending positions gathers what w[mask] would, in order.
     best = near[0]
     if len(near) > 1:
-        errs = [math.fsum(w[(ps.columns[j][0] > ps.columns[j][2][i]) != (y * pol > 0)]) for j, i, pol in near]
+        if total < 2.0**53 and (np.floor(w) == w).all():
+            errs = [
+                (sweeps[j][1] if pol == 1 else sweeps[j][3]) + (pol * float(sweeps[j][0][i - 1]) if i else 0.0)
+                for j, i, pol in near
+            ]
+        else:
+            errs = [
+                math.fsum(w.take(((ps.columns[j][0] > ps.columns[j][2][i]) != (y * pol > 0)).nonzero()[0]))
+                for j, i, pol in near
+            ]
         best = near[errs.index(min(errs))]
     j, i, pol = best
     return Stump(feature=j, threshold=float(ps.columns[j][2][i]), polarity=pol)

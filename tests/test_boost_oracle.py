@@ -503,3 +503,18 @@ def test_two_value_update_matches_the_n_long_exp(n):
         assert same_bits(got_obs, w_obs * np.exp(-margin)), beta
         assert same_bits(got_flip, w_flip * np.exp(margin)), beta
         assert boost._reweighed(w_obs, None, hit, beta)[1] is None
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 500, 5001])
+def test_labels_picked_by_mask_match_np_where(n):
+    # the engine takes y's sign by a mask's bytes where the original called
+    # np.where(diff >= 0, y, -y); diffs include NaN, both zeros, infinities
+    # and subnormals, which only the comparison itself decides
+    rng = np.random.default_rng(44 + n)
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1.0])
+    y = rng.choice([-1, 1], size=n).astype(np.int64)
+    for diff in (rng.choice(specials, size=n), rng.normal(size=n), np.full(n, -0.0), np.full(n, np.nan)):
+        mask = diff >= 0.0
+        got = y * boost._by_mask(np.array([-1, 1], dtype=y.dtype), mask)
+        assert got.dtype == y.dtype
+        assert got.tobytes() == np.where(mask, y, -y).tobytes()

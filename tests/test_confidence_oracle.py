@@ -533,3 +533,75 @@ def test_table_debug_line(caplog):
     assert rec.getMessage().startswith(
         "neighbour table: 40 rows, depth 8, blocked search, 1600 distance pairs, 0 rows widened, "
     )
+
+
+# --- the cell grid's kernels against the forms they replaced ---
+
+
+def einsum_sq_dists(queries, refs, cand):
+    # the candidate form as the blocked search computes it: one einsum over
+    # the (q, c, p) differences
+    d = queries[:, None, :] - refs[cand]
+    return np.einsum("ijk,ijk->ij", d, d)
+
+
+def kernel_inputs(rng, kind, p):
+    n = 300
+    if kind == "ties":
+        X = rng.integers(-3, 4, size=(n, p)).astype(np.float64)
+    elif kind == "signed zeros":
+        X = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0], size=(n, p))
+    elif kind == "repeated rows":
+        X = rng.normal(size=(n // 10, p))[rng.integers(0, n // 10, size=n)]
+    elif kind == "mixed scales":
+        X = rng.normal(size=(n, p)) * rng.choice([1e-150, 1.0, 1e150], size=(1, p))
+    else:
+        X = rng.normal(size=(n, p)) * {"tiny": 1e-150, "huge": 1e150}.get(kind, 1.0)
+    rows = rng.integers(0, n, size=int(rng.integers(1, 40)))
+    cand = rng.integers(0, n, size=(rows.size, int(rng.integers(1, 60))))
+    # a list is padded with its own row, sorted like the grid's
+    cand[:, rng.integers(0, cand.shape[1]) :] = rows[:, None]
+    cand.sort(axis=1)
+    return X, rows, cand
+
+
+@pytest.mark.parametrize("kind", ["ties", "signed zeros", "repeated rows", "normal", "tiny", "huge", "mixed scales"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_plane_kernel_matches_einsum(kind, p):
+    # the per-feature planes add in einsum's own order, so every pair's
+    # squared distance has einsum's bits
+    rng = np.random.default_rng(p * 10 + len(kind))
+    for trial in range(20):
+        X, rows, cand = kernel_inputs(rng, kind, p)
+        want = einsum_sq_dists(X[rows], X, cand)
+        for refs in (np.asfortranarray(X), X):
+            got = confidence._sq_dists(X[rows], refs, cand)
+            assert got.shape == cand.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def running_sum_positions(first, runs):
+    # the original build: a running sum of ones that, at each run's start,
+    # steps from the end of the run before to that run's first position
+    lengths = runs.ravel()
+    head, lengths = first.ravel()[lengths > 0], lengths[lengths > 0]
+    pos = np.ones(int(lengths.sum()), dtype=np.intp)
+    pos[np.cumsum(lengths[:-1])] = head[1:] - head[:-1] - lengths[:-1] + 1
+    pos[:1] = head[:1]
+    return np.add.accumulate(pos)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gathered_runs_match_the_running_sum_build(seed):
+    rng = np.random.default_rng(seed)
+    n, q, r = 500, int(rng.integers(1, 30)), int(rng.integers(1, 9))
+    order = rng.permutation(n)
+    runs = rng.integers(0, 6, size=(q, r)) * (rng.random((q, r)) < 0.7)
+    first = rng.integers(0, n - 6, size=(q, r))
+    pad = rng.integers(0, n, size=q)
+    width = int(runs.sum(axis=1).max()) + int(rng.integers(0, 3))
+    cand = confidence._gather_runs(order, first, runs, width, pad)
+    want = np.repeat(pad[:, None], width, axis=1)
+    want[np.arange(width) < runs.sum(axis=1)[:, None]] = order[running_sum_positions(first, runs)]
+    want.sort(axis=1)
+    assert cand.tobytes() == want.tobytes()

@@ -236,6 +236,44 @@ def test_errors_a_few_ulps_apart_resolve_exactly(ulps, fsum_calls):
     assert bits(train_stump(X, y, w)) == (int(ulps > 0), (1.5).hex(), 1)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_whole_weights_skip_the_exact_pass(p, fsum_calls):
+    # whole weights totalling under 2^53 make the sweep's errors exact, so
+    # the same integer-grid ties are decided without fsum; at or above 2^53
+    # they are re-scored as before
+    rng = np.random.default_rng(60 + p)
+    for trial in range(10):
+        base = rng.integers(-2, 3, size=(int(rng.integers(5, 80)), p)).astype(np.float64)
+        X = np.hstack([base, base])
+        y = rng.choice([-1, 1], size=X.shape[0])
+        counts = rng.integers(0, 4, size=X.shape[0]).astype(np.float64)
+        counts[0] += 1.0
+        assert fit_counted(X, y, counts, fsum_calls) == 0
+        assert fit_counted(X, y, counts * 2.0**50, fsum_calls) >= 2 * (counts.sum() >= 8)
+        assert fit_counted(X, y, counts + 0.5, fsum_calls) >= 2
+
+
+def test_near_ties_gather_what_boolean_indexing_would(monkeypatch):
+    # the exact pass hands fsum each bracketed pair's wrong weights as
+    # w[mask] gives them: the same values in the same order
+    seen, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: seen.append(np.array(values)) or fsum(values))
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        base = rng.integers(-2, 3, size=(int(rng.integers(5, 60)), 2)).astype(np.float64)
+        X = np.hstack([base, base])
+        y, w = labels_and_weights(rng, X.shape[0])
+        seen.clear()
+        assert bits(train_stump(X, y, w)) == bits(oracle_train_stump(X, y, w))
+        masks = {
+            w[(X[:, j] > t) != (y * pol > 0)].tobytes()
+            for j in range(X.shape[1])
+            for t in candidate_thresholds(X[:, j])
+            for pol in (1, -1)
+        }
+        assert len(seen) >= 2 and all(v.tobytes() in masks for v in seen)
+
+
 def test_random_fits_match_the_oracle():
     rng = np.random.default_rng(2024)
     for trial in range(1200):
@@ -324,15 +362,34 @@ def test_sums_at_split_positions_match_the_padded_cumsum(kind, n):
     assert isinstance(ps.columns[1][3], slice)
 
 
-def test_midpoint_rounded_onto_a_value_takes_the_gather():
-    # (1 + eps + 1 + 2 eps) / 2 rounds to 1 + 2 eps, so that threshold has
-    # both rows at or below it and its sum is the last, not the first
+def test_midpoint_rounded_onto_a_value_splits_at_the_lower_one():
+    # (1 + eps + 1 + 2 eps) / 2 rounds to 1 + 2 eps, which x > t cannot tell
+    # from the upper value; the lower value splits the two, so the exact
+    # optimum, error 0, is found
     eps = np.finfo(np.float64).eps
     X = np.array([[1.0 + eps], [1.0 + 2 * eps]])
     ps = Presorted(X)
-    assert ps.columns[0][2][1] == 1.0 + 2 * eps
-    assert ps.columns[0][3].tolist() == [1]
+    assert ps.columns[0][2].tolist() == [-np.inf, 1.0 + eps]
+    assert ps.columns[0][3] == slice(0, 1)
+    for features in (X, ps):
+        stump = train_stump(features, [-1, 1], [1.0, 1.0])
+        assert bits(stump) == (0, (1.0 + eps).hex(), 1)
+        assert stump.predict(X).tolist() == [-1, 1]
     assert_same(X, [1, -1], [1.0, 2.0], ps=ps)
+    # so do the smallest subnormals around zero, where a midpoint rounds to even
+    for a, b in ((5e-324, 1e-323), (-5e-324, 0.0), (-1e-323, -5e-324)):
+        assert candidate_thresholds([b, a]).tolist() == [-np.inf, a]
+        assert sample_threshold([b, a, b], a) == a
+
+
+def test_tied_column_reads_its_sums_by_gather():
+    # a repeated value ends its run of the sorted column past its rank among
+    # the distinct values, so the thresholds' sums are gathered, not viewed
+    X = np.array([[2.0], [1.0], [2.0], [3.0]])
+    ps = Presorted(X)
+    assert ps.columns[0][3].tolist() == [0, 2]
+    for y, w in (([-1, 1, 1, -1], [1.0, 2.0, 0.5, 1.5]), ([1, -1, 1, 1], [0.1, 0.2, 0.3, 0.4])):
+        assert_same(X, y, w, ps=ps)
 
 
 def test_midpoint_of_values_near_the_largest_double():
@@ -404,6 +461,25 @@ def test_count_fit_matches_the_bootstrap_fit(n, kinds, scale, draw, seed):
         D[y != y[0]] = 0.0
     D = D / D.sum()
     assert bits(count_fit(X, y, D, seed)) == bits(bootstrap_fit(X, y, D, seed))
+
+
+def test_count_fits_skip_the_exact_pass(fsum_calls):
+    # draw counts are whole numbers: their ties are decided without fsum,
+    # while the same fits on half counts re-score theirs
+    noisy, _ = inject_label_noise(gen_normal(2000, seed=3), 0.2, seed=4)
+    X, y = noisy.features, noisy.labels
+    rng = np.random.default_rng(8)
+    halves = 0
+    for seed in range(12):
+        D = rng.random(X.shape[0])
+        D /= D.sum()
+        fsum_calls.clear()
+        got = count_fit(X, y, D, seed)
+        assert fsum_calls == []
+        assert bits(got) == bits(bootstrap_fit(X, y, D, seed))
+        counts = np.bincount(np.random.default_rng(seed).choice(X.shape[0], X.shape[0], p=D), minlength=X.shape[0])
+        halves += fit_counted(X, y, counts / 2.0, fsum_calls)
+    assert halves > 0
 
 
 class TestOneSortPerRun:
