@@ -24,12 +24,13 @@ comes from a uniform cell grid (Bentley 1975): each row ranks only the rows
 of the cells around its own, widening the ring of cells until no row outside
 can come closer, so the search grows about linearly in n. Rows are ranked
 in chunks of similar candidate counts, so at most a quarter of the pairs a
-chunk computes are padding; a chunk sums its squared distances one feature
-plane at a time, in the order the blocked search's einsum adds them.
-Otherwise it is a brute-force O(n^2) search in query blocks of about 65
-thousand pairwise differences (512 KB, sized to stay in cache), or one
-query's n*p when that is more. Both give the same table bit for bit, with
-the same tie rule, in O(block + n*k) memory. The
+chunk computes are padding. Otherwise it is a brute-force O(n^2) search in
+query blocks of about 65 thousand (query, row, feature) terms (512 KB, sized
+to stay in cache), or one query's n*p when that is more. Both searches sum a
+block's squared distances one (queries, rows) plane per feature, read from
+the column-contiguous z-scored matrix, in the order numpy's einsum adds the
+terms of each pair, so both give the same table bit for bit, with the same
+tie rule, in O(block + n*k) memory. The
 filter rounds and the vote read the table in blocks of rows as well, so
 serving holds the n x k neighbours it returns plus one block.
 CBBOOST_LOG=DEBUG logs one line per table build (rows, depth, search path,
@@ -78,11 +79,12 @@ DEFAULT_K = 5
 CONFIDENCE_METHODS = ("knn", "bayes")
 FORMS = ("consistent", "paper-literal")
 
-# doubles in one query block's pairwise temporary (512 KB, cache-sized). A
-# row's distances and ranking do not depend on its block, so the size moves
-# only memory and time: against 1 << 20 it cut the table's tracemalloc peak
-# ~5x at n = 500 and ~2x at n = 5000 (normal data) at the same speed on a
-# 2-vCPU x86 host, where 1 << 15 was slower at n = 500.
+# (query, row, feature) terms in one query block, 512 KB of doubles over its
+# distance planes (cache-sized). A row's distances and ranking do not depend
+# on its block, so the size moves only memory and time: against 1 << 20 it
+# cut the table's tracemalloc peak ~5x at n = 500 and ~2x at n = 5000 (normal
+# data) at the same speed on a 2-vCPU x86 host, where 1 << 15 was slower at
+# n = 500.
 _BLOCK = 1 << 16
 # features p -> (fewest rows, rows per cell) of the cell-grid table search.
 # The fewest rows are the measured crossover with the blocked search; rows per
@@ -165,37 +167,50 @@ class FilterReport:
 def _sq_dists(queries: np.ndarray, refs: np.ndarray, cand: np.ndarray | None = None) -> np.ndarray:
     # exact per-pair differences; the usual |a|^2 + |b|^2 - 2ab expansion is
     # faster but its rounding can split true distance ties, which would break
-    # the lower-index tie rule. Every query meets all m refs: the (q, m, p)
-    # differences are filled one feature at a time and reduced by one einsum.
-    # With cand (q, c), query i meets refs[cand[i]] only (p <= 3, the cell
-    # grid's): each feature gives one (q, c) plane of squares, taken from a
-    # contiguous column of refs, and the planes add in the order einsum's
-    # baseline loop adds p <= 3 terms (lane 0 the even features, lane 1 the
-    # odd, then the lanes): d0^2, d0^2 + d1^2 and (d0^2 + d2^2) + d1^2. So a
-    # pair's sum has the bits the blocked search gives it, which the tests
-    # check at each SIMD dispatch level they run on.
-    if cand is None:
-        d = np.empty((queries.shape[0], refs.shape[0], refs.shape[1]))
-        for j in range(refs.shape[1]):
-            np.subtract(queries[:, j, None], refs[:, j], out=d[:, :, j])
-        return np.einsum("ijk,ijk->ij", d, d)
-    out = None
-    for j in (*range(0, refs.shape[1], 2), *range(1, refs.shape[1], 2)):
-        d = refs[:, j].take(cand)
-        np.subtract(queries[:, j, None], d, out=d)
-        np.multiply(d, d, out=d)
-        out = d if out is None else np.add(out, d, out=out)
-    return out
+    # the lower-index tie rule. Every query meets all m refs, or with cand
+    # (q, c) query i meets refs[cand[i]] only (the cell grid's). Each feature
+    # gives one (q, m) or (q, c) plane, d = q_j - r_j then d * d (read from a
+    # contiguous column when refs is column-contiguous, as Neighbours.X is),
+    # and the planes add in the order einsum("ijk,ijk->ij") adds the row-major
+    # (q, m, p) differences, the reference the tests hold: two lanes, lane
+    # j % 2 taking feature j; a full block of 8 features from b gives lane L
+    # s[b+L] + (s[b+2+L] + (s[b+4+L] + (s[b+6+L] + lane))), the rest add in
+    # order, then lane 0 + lane 1. So p <= 3 gives d0^2, d0^2 + d1^2 and
+    # (d0^2 + d2^2) + d1^2. Squares that overflow give inf without a warning,
+    # as the einsum reference does.
+    p = refs.shape[1]
+    blocks = p - p % 8
+    lanes, d = [None, None], None
+    with np.errstate(over="ignore"):
+        # lane 0 is summed before lane 1 starts: at most three planes are
+        # held, two for p <= 3
+        for L in (0, 1):
+            inner = (b + i + L for b in range(0, blocks, 8) for i in (6, 4, 2, 0))
+            for j in (*inner, *range(blocks + L, p, 2)):
+                if cand is None:
+                    d = np.subtract(queries[:, j, None], refs[:, j], out=d)
+                else:
+                    # into the spent plane; take's default mode would copy
+                    # through a buffer, and cand names rows of refs only
+                    d = refs[:, j].take(cand, out=d, mode="wrap")
+                    np.subtract(queries[:, j, None], d, out=d)
+                np.multiply(d, d, out=d)
+                if lanes[L] is None:
+                    lanes[L], d = d, None
+                else:
+                    np.add(lanes[L], d, out=lanes[L])
+        return lanes[0] if lanes[1] is None else np.add(lanes[0], lanes[1], out=lanes[0])
 
 
 def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
     """Reference positions of each query's k nearest refs, in (distance, position) order.
 
     exclude[i] >= 0 names a reference position query i may not pick (itself);
-    -1 excludes nothing. Queries run in blocks so the pairwise temporary stays
-    near _BLOCK doubles. A row is ordered by sorting its argpartition top-k;
-    a row where ties straddle the k-th distance is redone from all candidates
-    at or below it, so equal distances always resolve to the lower position.
+    -1 excludes nothing. Queries run in blocks so a block's distance planes
+    stay near _BLOCK doubles together. A row is ordered by sorting its
+    argpartition top-k; a row where ties straddle the k-th distance is redone
+    from all candidates at or below it, so equal distances always resolve to
+    the lower position.
     """
     m, p = refs.shape
     out = np.empty((queries.shape[0], k), dtype=np.int64)
@@ -265,16 +280,14 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     n, p = X.shape
     if p not in _CELL_GRID or n < _CELL_GRID[p][0]:
         return None
-    span = np.ptp(X, axis=0)
     with np.errstate(over="ignore"):
+        span = np.ptp(X, axis=0)
         if not np.isfinite(np.sum(np.square(span))):
             return None
     side = _cell_side(span, n / _CELL_GRID[p][1])
-    # the search's one copy of X, column-contiguous, so the distance planes
-    # take from its columns. The grid reads them with the dimension with the
-    # most cells last, so a block is a few long runs of consecutive cells.
-    XF = np.asfortranarray(X)
-    G = [XF[:, f] for f in np.argsort(span, kind="stable")]
+    # the grid reads X's columns with the dimension with the most cells last,
+    # so a block is a few long runs of consecutive cells
+    G = [X[:, f] for f in np.argsort(span, kind="stable")]
     lo = np.array([g.min() for g in G])
     shape = ((np.array([g.max() for g in G]) - lo) // side).astype(np.int64) + 1
     coord = np.column_stack(
@@ -353,7 +366,7 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
                 q = end
                 # a list is padded with its own row, which is masked out with it
                 cand = _gather_runs(order, first[chunk], runs[chunk], w, rows[chunk])
-                d2 = _sq_dists(X[rows[chunk]], XF, cand)
+                d2 = _sq_dists(X[rows[chunk]], X, cand)
                 d2[cand == rows[chunk, None]] = np.inf
                 pairs += d2.size
                 nearest, kth = _rank(d2, depth)
@@ -408,27 +421,34 @@ def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str 
 
 
 def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
-    """The features z-scored by column (population std; a constant column is scaled by 1)."""
-    if not standardize:
-        return ds.features
-    # a moment that overflows is refused below, with no numpy warning first
-    with np.errstate(over="ignore"):
-        mu = ds.features.mean(axis=0)
-        sd = ds.features.std(axis=0)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
-        raise ValueError("cannot standardize: a feature column's mean or standard deviation overflows")
-    return frozen((ds.features - mu) / np.where(sd == 0.0, 1.0, sd))
+    """The features z-scored by column (population std; a constant column is scaled by 1).
+
+    A read-only column-contiguous copy, so a distance plane reads one contiguous column.
+    """
+    X = np.array(ds.features, order="F")
+    if standardize:
+        # a moment that overflows is refused below, with no numpy warning first
+        with np.errstate(over="ignore"):
+            mu = ds.features.mean(axis=0)
+            sd = ds.features.std(axis=0)
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
+            raise ValueError("cannot standardize: a feature column's mean or standard deviation overflows")
+        X -= mu
+        X /= np.where(sd == 0.0, 1.0, sd)
+    X.flags.writeable = False
+    return X
 
 
 class Neighbours:
     """Every row's nearest other rows of one feature matrix, searched once.
 
     X holds the matrix distances are taken on (z-scored when standardize is
-    set) and table[i] row i's min(4k, n-1) nearest other rows in (distance,
-    index) order. The table depends on the features alone, so the filter,
-    the vote and every label vector drawn over the same features can share
-    it. The arrays are read-only copies, so the table cannot fall out of
-    step with the matrix it was built from.
+    set), column-contiguous so the searches read whole columns, and table[i]
+    row i's min(4k, n-1) nearest other rows in (distance, index) order. The
+    table depends on the features alone, so the filter, the vote and every
+    label vector drawn over the same features can share it. The arrays are
+    read-only copies, so the table cannot fall out of step with the matrix
+    it was built from.
     """
 
     def __init__(self, features, k: int = DEFAULT_K, standardize: bool = True):

@@ -538,6 +538,19 @@ class TestErrors:
         )
         assert os.listdir(tmp_path) == ["huge.csv"]
 
+    def test_overflowing_distances_run_without_a_warning(self, tmp_path):
+        # unscaled, the column's differences overflow to inf; numpy must not warn
+        data, out = tmp_path / "huge.csv", tmp_path / "g.csv"
+        col = np.array([(-1) ** i * 1e308 for i in range(40)])
+        save_csv(Dataset(np.column_stack([col, np.arange(40.0)]), np.tile([-1, 1], 20)), data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbboost", "confidence", "--in", str(data), "--out", str(out), "--no-standardize"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"wrote {out} (filter kept 40/40 rows)\n"
+
     def test_unknown_subcommand_exits_two(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cbboost", "explode"], capture_output=True, text=True

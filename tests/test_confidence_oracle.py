@@ -34,7 +34,8 @@ def oracle_sq_dists(queries, refs):
     out = np.empty((q, m), dtype=np.float64)
     block = max(1, int(8e6 / max(m * p, 1)))
     for s in range(0, q, block):
-        d = queries[s : s + block, None, :] - refs[None, :, :]
+        # row-major differences, as einsum reduced them in the blocked search
+        d = np.subtract(queries[s : s + block, None, :], refs[None, :, :], order="C")
         out[s : s + block] = np.einsum("ijk,ijk->ij", d, d)
     return out
 
@@ -334,15 +335,32 @@ def table_builds(caplog):
     return [rec.args for rec in caplog.records if rec.name == "cbboost.confidence.table"]
 
 
+def einsum_table(X, depth):
+    # the blocked search as it was before the plane kernel: each query
+    # block's (q, n, p) differences reduced by one einsum, then ranked
+    n, p = X.shape
+    out = np.empty((n, depth), dtype=np.int64)
+    step = max(1, (1 << 16) // (n * p))
+    for s in range(0, n, step):
+        with np.errstate(over="ignore"):
+            d = np.subtract(X[s : s + step, None, :], X[None, :, :], order="C")
+            d2 = np.einsum("ijk,ijk->ij", d, d)
+        q = np.arange(d2.shape[0])
+        d2[q, s + q] = np.inf
+        out[s : s + step] = confidence._rank(d2, depth)[0]
+    return out
+
+
 def assert_exact_table(features, k, caplog, standardize=True, path="cells"):
-    """The table equals the blocked search bit for bit, built by the named path."""
+    """The table equals the einsum search and _k_nearest bit for bit, built by the named path."""
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
         caplog.clear()
         nb = Neighbours(features, k=k, standardize=standardize)
     ((rows, depth, got_path, *_),) = table_builds(caplog)
     assert (rows, depth, got_path) == (nb.n, min(4 * k, nb.n - 1), path)
-    want = confidence._k_nearest(nb.X, nb.X, depth, np.arange(nb.n)) if depth else nb.table
-    assert nb.table.tobytes() == want.tobytes()
+    if depth:
+        assert nb.table.tobytes() == einsum_table(nb.X, depth).tobytes()
+        assert nb.table.tobytes() == confidence._k_nearest(nb.X, nb.X, depth, np.arange(nb.n)).tobytes()
     return nb
 
 
@@ -514,13 +532,18 @@ def test_search_path_by_rows_and_features(caplog):
     assert_exact_table(rng.normal(size=(2000, 5)), 5, caplog, path="blocked")
     # heavy tails crowd most rows into a few cells
     assert_exact_table(rng.standard_cauchy(size=(2000, 2)), 5, caplog, path="blocked")
+    # a full block of 8 features: summed in plain two-lane order, this
+    # table's distance ties split differently
+    grid = np.round(2 * np.random.default_rng(59).standard_normal((600, 8)))
+    assert_exact_table(grid, 5, caplog, path="blocked")
+    for p in (13, 34):
+        assert_exact_table(rng.normal(size=(1000, p)), 5, caplog, path="blocked")
 
 
 @pytest.mark.parametrize("X", [
     np.array([[-1e308, 0.0], [1e308, 1.0]] * 60),  # the span itself overflows
     np.array([[-1e200, 0.0], [1e200, 1.0]] * 60),  # its square overflows
 ], ids=["span", "squared span"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_spans_take_the_blocked_path(cells, caplog, X):
     X = X + np.arange(120)[:, None]
     assert_exact_table(X, 5, caplog, standardize=False, path="blocked")
@@ -535,13 +558,14 @@ def test_table_debug_line(caplog):
     )
 
 
-# --- the cell grid's kernels against the forms they replaced ---
+# --- the search kernels against the forms they replaced ---
 
 
-def einsum_sq_dists(queries, refs, cand):
-    # the candidate form as the blocked search computes it: one einsum over
-    # the (q, c, p) differences
-    d = queries[:, None, :] - refs[cand]
+def einsum_sq_dists(queries, refs, cand=None):
+    # the squared distances as einsum gave them: one einsum over the row-major
+    # (q, m, p) differences with every ref, or the (q, c, p) ones with
+    # refs[cand] (another layout would change einsum's order of summation)
+    d = np.subtract(queries[:, None, :], refs[None] if cand is None else refs[cand], order="C")
     return np.einsum("ijk,ijk->ij", d, d)
 
 
@@ -566,18 +590,22 @@ def kernel_inputs(rng, kind, p):
 
 
 @pytest.mark.parametrize("kind", ["ties", "signed zeros", "repeated rows", "normal", "tiny", "huge", "mixed scales"])
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40])
 def test_plane_kernel_matches_einsum(kind, p):
-    # the per-feature planes add in einsum's own order, so every pair's
-    # squared distance has einsum's bits
+    # the per-feature planes add in einsum's own order (8-feature blocks, then
+    # the rest), so every pair's squared distance has einsum's bits, against
+    # every ref and against candidate lists alike
     rng = np.random.default_rng(p * 10 + len(kind))
     for trial in range(20):
         X, rows, cand = kernel_inputs(rng, kind, p)
-        want = einsum_sq_dists(X[rows], X, cand)
+        every, listed = einsum_sq_dists(X[rows], X), einsum_sq_dists(X[rows], X, cand)
         for refs in (np.asfortranarray(X), X):
+            got = confidence._sq_dists(X[rows], refs)
+            assert got.shape == every.shape
+            assert got.tobytes() == every.tobytes()
             got = confidence._sq_dists(X[rows], refs, cand)
             assert got.shape == cand.shape
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == listed.tobytes()
 
 
 def running_sum_positions(first, runs):
