@@ -46,6 +46,8 @@ from .confidence import (
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     FORMS,
+    Neighbours,
+    check_settings,
     estimate_confidence,
     read_gamma_csv,
     write_gamma_csv,
@@ -219,6 +221,8 @@ def cmd_confidence(args, out: Staged) -> Written:
     (tmp,) = _staged(out, args.out)
     ds = load_csv(args.infile, label_column=args.label_column, positive_label=args.positive_label)
     thresholds = parse_reals(args.filter_thresholds, "--filter-thresholds")
+    # --no-standardize takes raw distances from a raw table, searched only once the settings pass
+    check_settings(args.k, thresholds, method=args.method, noise_level=args.noise_level)
     gamma, report = estimate_confidence(
         ds,
         method=args.method,
@@ -226,7 +230,7 @@ def cmd_confidence(args, out: Staged) -> Written:
         thresholds=thresholds,
         noise_level=args.noise_level,
         form=args.form,
-        standardize=args.standardize,
+        neighbours=None if args.standardize else Neighbours(ds.features, args.k, standardize=False),
     )
     write_gamma_csv(gamma, tmp)
     config = {

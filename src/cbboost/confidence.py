@@ -9,9 +9,9 @@ set, either as the fraction of its k nearest reference neighbors sharing its
 label, or from class-conditional Gaussians fitted on the reference set behind
 a prior that accounts for a known flip rate.
 
-Distances are Euclidean on z-scored features; the scaler is fitted once on
-the full dataset so filtering never shifts the geometry. Neighbor ties at
-equal distance resolve to the lower row index.
+Distances are Euclidean on z-scored features (raw from a Neighbours table built
+with standardize=False); the scaler is fitted once on the full dataset so
+filtering never shifts the geometry. Neighbor ties resolve to the lower row index.
 
 Neighbors are found exactly and no n x n matrix is ever held. A Neighbours
 table, built once per feature matrix, holds every row's 4k nearest other
@@ -220,7 +220,11 @@ def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarra
         ex = exclude[s : s + step]
         own = ex >= 0
         d2[own, ex[own]] = np.inf
-        out[s : s + step] = _rank(d2, k)[0]
+        out[s : s + step], kth = _rank(d2, k)
+        # a distance that overflows ties with that inf: such a row ranks again with it NaN, sorted last
+        for r in (np.isinf(kth) & own).nonzero()[0]:
+            d2[r, ex[r]] = np.nan
+            out[s + r] = _rank(d2[r, None], k)[0]
     return out
 
 
@@ -402,11 +406,12 @@ def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: 
     return cand
 
 
-def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str = "consistent") -> tuple:
-    """Reject a bad neighbour count, filter schedule or Bayes form.
+def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str = "consistent",
+                   method: str = "knn", noise_level=None) -> tuple:
+    """Reject a bad neighbour count, filter schedule, Bayes form or scoring method.
 
-    Returns the thresholds as floats. noise_filter, bayes_confidence and a
-    benchmark grid's config all check here, so a grid fails before it runs.
+    Returns the thresholds as floats. The confidence functions and a benchmark
+    grid's config check here, so bad settings fail before a grid or a table search runs.
     """
     thresholds = tuple(float(t) for t in thresholds)
     if any(not (0.0 < t < 1.0) for t in thresholds):
@@ -417,6 +422,12 @@ def check_settings(k: int = DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, form: str 
         raise ValueError(f"need k >= 1, got {k}")
     if form not in FORMS:
         raise ValueError(f"form must be {' or '.join(map(repr, FORMS))}, got {form!r}")
+    if method not in CONFIDENCE_METHODS:
+        raise ValueError(
+            f"unknown confidence method {method!r}, expected {' or '.join(map(repr, CONFIDENCE_METHODS))}"
+        )
+    if method == "bayes" and noise_level is None:
+        raise ValueError("bayes confidence requires a noise_level")
     return thresholds
 
 
@@ -442,13 +453,13 @@ def _standardized(ds: Dataset, standardize: bool) -> np.ndarray:
 class Neighbours:
     """Every row's nearest other rows of one feature matrix, searched once.
 
-    X holds the matrix distances are taken on (z-scored when standardize is
-    set), column-contiguous so the searches read whole columns, and table[i]
-    row i's min(4k, n-1) nearest other rows in (distance, index) order. The
-    table depends on the features alone, so the filter, the vote and every
-    label vector drawn over the same features can share it. The arrays are
-    read-only copies, so the table cannot fall out of step with the matrix
-    it was built from.
+    X holds the matrix distances are taken on (z-scored, or raw for every
+    stage the table serves under standardize=False), column-contiguous so the
+    searches read whole columns, and table[i] row i's min(4k, n-1) nearest
+    other rows in (distance, index) order. The table depends on the features
+    alone, so the filter, the vote and every label vector drawn over the same
+    features can share it. The arrays are read-only copies, so the table
+    cannot fall out of step with the matrix it was built from.
     """
 
     def __init__(self, features, k: int = DEFAULT_K, standardize: bool = True):
@@ -456,7 +467,6 @@ class Neighbours:
         # the scaler reads only the features; the labels are placeholders
         ds = Dataset(features, np.ones(np.shape(features)[:1], dtype=np.int64))
         self.features = ds.features
-        self.standardize = standardize
         self.X = _standardized(ds, standardize)
         depth = min(4 * k, ds.n - 1)
         t0 = time.perf_counter()
@@ -509,14 +519,9 @@ class Neighbours:
         return nbr, redo.size
 
 
-def _neighbours_for(ds: Dataset, neighbours: Neighbours | None, k: int, standardize: bool) -> Neighbours:
+def _neighbours_for(ds: Dataset, neighbours: Neighbours | None, k: int) -> Neighbours:
     if neighbours is None:
-        return Neighbours(ds.features, k, standardize)
-    if neighbours.standardize != standardize:
-        raise ValueError(
-            f"neighbour table was built with standardize={neighbours.standardize}, "
-            f"called with standardize={standardize}"
-        )
+        return Neighbours(ds.features, k)
     if not np.array_equal(neighbours.features, ds.features):
         raise ValueError("neighbour table was built from a different feature matrix")
     depth, need = neighbours.table.shape[1], min(4 * k, ds.n - 1)
@@ -529,7 +534,6 @@ def noise_filter(
     ds: Dataset,
     k: int = DEFAULT_K,
     thresholds=DEFAULT_THRESHOLDS,
-    standardize: bool = True,
     neighbours: Neighbours | None = None,
 ) -> FilterReport:
     """Iteratively remove rows whose neighborhood agreement falls below a rising bar.
@@ -539,10 +543,10 @@ def noise_filter(
     neighbors is strictly below that round's threshold. If at any round the
     survivor count is k or fewer the filter stops and flags the report
     aborted rather than divide up a too-small set. Neighbourhoods are served
-    from `neighbours`, built here from ds when not given.
+    from `neighbours`, built here (z-scored) from ds when not given.
     """
     thresholds = check_settings(k=k, thresholds=thresholds)
-    nb = _neighbours_for(ds, neighbours, k, standardize)
+    nb = _neighbours_for(ds, neighbours, k)
     y = ds.labels
     surv = np.arange(ds.n)
     rounds: list[FilterRound] = []
@@ -574,7 +578,6 @@ def knn_confidence(
     ds: Dataset,
     reduced: FilterReport,
     k: int = DEFAULT_K,
-    standardize: bool = True,
     neighbours: Neighbours | None = None,
 ) -> ConfidenceVector:
     """Fraction of the k nearest kept-set neighbors sharing each row's label.
@@ -583,15 +586,15 @@ def knn_confidence(
     row never counts itself among its neighbors. Values land on the grid
     {0, 1/k, ..., 1}, and relabeling a row to the opposite class maps its
     confidence g to 1 - g. Neighbours are served from `neighbours`, built
-    here from ds when not given.
+    here (z-scored) from ds when not given.
     """
     # check a given table, then the report, before building a table (the costly search)
-    nb = None if neighbours is None else _neighbours_for(ds, neighbours, k, standardize)
+    nb = None if neighbours is None else _neighbours_for(ds, neighbours, k)
     kept = _kept_rows(ds, reduced)
     if kept.size <= k:
         raise ValueError(f"reference set has {kept.size} rows, need more than k={k}")
     if nb is None:
-        nb = Neighbours(ds.features, k, standardize)
+        nb = Neighbours(ds.features, k)
     nbr, redone = nb.nearest(np.arange(ds.n), kept, k)
     vote_log.debug(
         "knn vote: %d rows, %d served from the table, %d exact re-searches", ds.n, ds.n - redone, redone
@@ -686,7 +689,6 @@ def estimate_confidence(
     thresholds=DEFAULT_THRESHOLDS,
     noise_level: float | None = None,
     form: str = "consistent",
-    standardize: bool = True,
     neighbours: Neighbours | None = None,
 ) -> tuple[ConfidenceVector, FilterReport]:
     """Filter then score: the standard two-stage confidence pipeline.
@@ -695,18 +697,12 @@ def estimate_confidence(
     built here from ds. noise_level is the assumed flip rate: bayes requires
     it and knn ignores it, so a caller can pass its level for either method.
     """
-    check_settings(k=k, thresholds=thresholds)
     # rejected before the table search, which dominates the cost of a call
-    if method not in CONFIDENCE_METHODS:
-        raise ValueError(
-            f"unknown confidence method {method!r}, expected {' or '.join(map(repr, CONFIDENCE_METHODS))}"
-        )
-    if method == "bayes" and noise_level is None:
-        raise ValueError("bayes confidence requires a noise_level")
-    nb = _neighbours_for(ds, neighbours, k, standardize)
-    report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize, neighbours=nb)
+    check_settings(k=k, thresholds=thresholds, method=method, noise_level=noise_level)
+    nb = _neighbours_for(ds, neighbours, k)
+    report = noise_filter(ds, k=k, thresholds=thresholds, neighbours=nb)
     if method == "knn":
-        return knn_confidence(ds, report, k=k, standardize=standardize, neighbours=nb), report
+        return knn_confidence(ds, report, k=k, neighbours=nb), report
     return bayes_confidence(ds, report, noise_level, form=form), report
 
 

@@ -24,7 +24,14 @@ from cbboost.boost import (
     train_cb_adaboost,
 )
 from cbboost.cli import build_parser, main
-from cbboost.confidence import CONFIDENCE_METHODS, FORMS, read_gamma_csv
+from cbboost.confidence import (
+    CONFIDENCE_METHODS,
+    FORMS,
+    Neighbours,
+    estimate_confidence,
+    read_gamma_csv,
+    write_gamma_csv,
+)
 from cbboost.dataset import Dataset, load_csv, save_csv
 from cbboost.harness import METHODS, ExperimentConfig, fit_method
 from cbboost.synth import SCENARIOS
@@ -413,6 +420,29 @@ class TestConfidenceFlags:
         assert g_std.read_bytes() != g_raw.read_bytes()
         m = json.loads((tmp_path / "raw.csv.manifest.json").read_text())
         assert m["config"]["standardize"] is False
+        # the flag gives the library pipeline's result over a raw table, byte for byte
+        ds = load_csv(path)
+        gamma, _ = estimate_confidence(ds, neighbours=Neighbours(ds.features, standardize=False))
+        write_gamma_csv(gamma, tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == g_raw.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "need k >= 1, got 0"),
+        (["--filter-thresholds", "0.5,0.2"], "strictly increasing"),
+        (["--method", "bayes"], "bayes confidence requires a noise_level"),
+    ])
+    def test_no_standardize_rejects_settings_before_the_table_search(
+        self, pipeline, capsys, monkeypatch, flags, message
+    ):
+        # the raw table is the command's to build, after the settings pass;
+        # the error line is the one the default (z-scored) run prints
+        argv = ["confidence", "--in", str(pipeline / "noisy.csv"), "--out", str(pipeline / "x.csv"), *flags]
+        err = run_fail(capsys, *argv)
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        builds = []
+        monkeypatch.setattr(cli, "Neighbours", lambda *args, **kw: builds.append(args))
+        assert run_fail(capsys, *argv, "--no-standardize") == err
+        assert builds == []
 
     def test_custom_filter_thresholds(self, pipeline, capsys):
         out = pipeline / "gt.csv"

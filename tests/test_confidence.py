@@ -12,6 +12,7 @@ from cbboost.confidence import (
     ConfidenceVector,
     FilterReport,
     FilterRound,
+    Neighbours,
     bayes_confidence,
     confidence_quality,
     estimate_confidence,
@@ -146,7 +147,8 @@ class TestKnnConfidence:
         # row 0, whose label disagrees
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([-1, 1, 1])
-        g = knn_confidence(Dataset(X, y), keep_all(3), k=1, standardize=False).gamma
+        raw = Neighbours(X, k=1, standardize=False)
+        g = knn_confidence(Dataset(X, y), keep_all(3), k=1, neighbours=raw).gamma
         assert g[1] == 0.0
 
     def test_grid_values(self):
@@ -194,13 +196,14 @@ class TestKnnConfidence:
                 bayes_confidence(ds, report, 0.1)
 
     def test_standardize_knob_changes_geometry(self):
-        # second feature dominates raw distances; z-scoring rebalances them
+        # second feature dominates raw distances; z-scoring (the default
+        # table's) rebalances them
         rng = np.random.default_rng(4)
         X = np.column_stack([rng.normal(size=40), rng.normal(size=40) * 1000])
         y = np.where(X[:, 0] > 0, 1, -1)
         ds = Dataset(X, y)
-        g_std = knn_confidence(ds, keep_all(40), k=3, standardize=True).gamma
-        g_raw = knn_confidence(ds, keep_all(40), k=3, standardize=False).gamma
+        g_std = knn_confidence(ds, keep_all(40), k=3).gamma
+        g_raw = knn_confidence(ds, keep_all(40), k=3, neighbours=Neighbours(X, k=3, standardize=False)).gamma
         assert not np.array_equal(g_std, g_raw)
 
     def test_deterministic(self):

@@ -2,8 +2,10 @@
 
 The oracle below is the original confidence code: every filter round builds
 the survivors' whole distance matrix and ranks each row with a stable
-argsort, so equal distances keep the lower index first. The blocked
-argpartition search must reproduce its reports and gammas bit for bit.
+argsort, so equal distances keep the lower index first, and a row's own
+entry is NaN, which the stable argsort puts after every distance (inf
+included). The blocked argpartition search must reproduce its reports and
+gammas bit for bit.
 """
 
 import logging
@@ -54,7 +56,7 @@ def oracle_noise_filter(ds, k=DEFAULT_K, thresholds=DEFAULT_THRESHOLDS, standard
             aborted = True
             break
         d2 = oracle_sq_dists(X[surv], X[surv])
-        np.fill_diagonal(d2, np.inf)
+        np.fill_diagonal(d2, np.nan)
         nbr = oracle_k_nearest(d2, k)
         agree = (ds.labels[surv][nbr] == ds.labels[surv][:, None]).mean(axis=1)
         out = agree < t
@@ -70,7 +72,7 @@ def oracle_knn_confidence(ds, reduced, k=DEFAULT_K, standardize=True):
     pos = np.full(ds.n, -1, dtype=np.int64)
     pos[kept] = np.arange(kept.size)
     own = np.flatnonzero(pos >= 0)
-    d2[own, pos[own]] = np.inf
+    d2[own, pos[own]] = np.nan
     nbr = oracle_k_nearest(d2, k)
     return ConfidenceVector((ds.labels[kept][nbr] == ds.labels[:, None]).mean(axis=1))
 
@@ -84,12 +86,19 @@ def assert_same_report(got, want):
         assert np.array_equal(g.removed, w.removed)
 
 
+def table_for(ds, k, standardize):
+    # a function given no table builds the default, z-scored one; raw
+    # distances come from a table built raw
+    return None if standardize else Neighbours(ds.features, k=k, standardize=False)
+
+
 def assert_matches_oracle(ds, k, thresholds=DEFAULT_THRESHOLDS, standardize=True):
-    report = noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize)
+    nb = table_for(ds, k, standardize)
+    report = noise_filter(ds, k=k, thresholds=thresholds, neighbours=nb)
     want = oracle_noise_filter(ds, k=k, thresholds=thresholds, standardize=standardize)
     assert_same_report(report, want)
     if want.n_kept > k:
-        got = knn_confidence(ds, want, k=k, standardize=standardize)
+        got = knn_confidence(ds, want, k=k, neighbours=nb)
         ref = oracle_knn_confidence(ds, want, k=k, standardize=standardize)
         assert got.gamma.tobytes() == ref.gamma.tobytes()
     return report
@@ -173,8 +182,8 @@ def test_rows_served_in_blocks_still_re_search(block, k, caplog):
 
     nb.table = nb.table.view(Served)
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
-        report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False, neighbours=nb)
-        gamma = knn_confidence(ds, report, k=k, standardize=False, neighbours=nb)
+        report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), neighbours=nb)
+        gamma = knn_confidence(ds, report, k=k, neighbours=nb)
     want = oracle_noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False)
     assert_same_report(report, want)
     assert gamma.gamma.tobytes() == oracle_knn_confidence(ds, want, k=k, standardize=False).gamma.tobytes()
@@ -190,8 +199,10 @@ def test_rows_served_in_blocks_still_re_search(block, k, caplog):
 
 
 def test_filter_round_debug_lines(caplog):
+    ds = fallback_dataset(1)
+    raw = Neighbours(ds.features, k=1, standardize=False)
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
-        report = noise_filter(fallback_dataset(1), k=1, thresholds=(0.6, 0.7), standardize=False)
+        report = noise_filter(ds, k=1, thresholds=(0.6, 0.7), neighbours=raw)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "cbboost.confidence"]
     assert lines == [
         "filter round 1: threshold 0.6, 14 survivors in, 8 removed, 0 exact re-searches",
@@ -243,14 +254,16 @@ def test_one_table_serves_every_noise_level(block, data, k, standardize):
     nb = Neighbours(base.features, k=k, standardize=standardize)
     for level in (0.0, 0.1, 0.2, 0.3):
         noisy, _ = inject_label_noise(base, level, seed=7)
-        report = noise_filter(noisy, k=k, standardize=standardize, neighbours=nb)
+        report = noise_filter(noisy, k=k, neighbours=nb)
         want = oracle_noise_filter(noisy, k=k, standardize=standardize)
         assert_same_report(report, want)
-        assert_same_report(noise_filter(noisy, k=k, standardize=standardize), want)
+        # a table of this noise level's own, or the default one
+        assert_same_report(noise_filter(noisy, k=k, neighbours=table_for(noisy, k, standardize)), want)
         ref = oracle_knn_confidence(noisy, want, k=k, standardize=standardize).gamma.tobytes()
-        assert knn_confidence(noisy, report, k=k, standardize=standardize, neighbours=nb).gamma.tobytes() == ref
-        assert knn_confidence(noisy, report, k=k, standardize=standardize).gamma.tobytes() == ref
-        gamma, again = estimate_confidence(noisy, k=k, standardize=standardize, neighbours=nb)
+        assert knn_confidence(noisy, report, k=k, neighbours=nb).gamma.tobytes() == ref
+        own = knn_confidence(noisy, report, k=k, neighbours=table_for(noisy, k, standardize))
+        assert own.gamma.tobytes() == ref
+        gamma, again = estimate_confidence(noisy, k=k, neighbours=nb)
         assert gamma.gamma.tobytes() == ref
         assert_same_report(again, want)
 
@@ -280,14 +293,51 @@ def test_mismatched_table_rejected():
             call(other, neighbours=Neighbours(noisy.features))
         with pytest.raises(ValueError, match="different feature matrix"):
             call(shifted, neighbours=Neighbours(noisy.features))
-        with pytest.raises(ValueError, match="standardize"):
-            call(noisy, standardize=False, neighbours=Neighbours(noisy.features))
-        with pytest.raises(ValueError, match="standardize"):
-            call(noisy, neighbours=Neighbours(noisy.features, standardize=False))
         with pytest.raises(ValueError, match="holds 4 neighbours per row, k=5 needs 20"):
             call(noisy, k=5, neighbours=Neighbours(noisy.features, k=1))
         # a deeper table serves a smaller k
         call(noisy, k=2, neighbours=Neighbours(noisy.features, k=5))
+
+
+def test_raw_table_gives_raw_distances_to_every_function():
+    # the second feature on a 1000x scale: raw and z-scored neighbourhoods
+    # differ, and each function takes the geometry of the table it is given
+    base = gen_normal(200, seed=6)
+    noisy, _ = inject_label_noise(Dataset(base.features * [1.0, 1000.0], base.labels), 0.2, seed=7)
+    raw = Neighbours(noisy.features, standardize=False)
+    want = oracle_noise_filter(noisy, standardize=False)
+    ref = oracle_knn_confidence(noisy, want, standardize=False).gamma.tobytes()
+    assert ref != oracle_knn_confidence(noisy, oracle_noise_filter(noisy)).gamma.tobytes()
+    assert_same_report(noise_filter(noisy, neighbours=raw), want)
+    assert knn_confidence(noisy, want, neighbours=raw).gamma.tobytes() == ref
+    gamma, report = estimate_confidence(noisy, neighbours=raw)
+    assert_same_report(report, want)
+    assert gamma.gamma.tobytes() == ref
+
+
+OVERFLOWING = {
+    "six rows": ([[-1e308], [0.0], [1e308], [0.5], [-0.5], [1.0]], [1, -1, 1, -1, 1, -1]),
+    # the CLI's overflow input: each row has 19 finite distances, then infs
+    "alternating signs": (np.column_stack([(-1.0) ** np.arange(40) * 1e308, np.arange(40.0)]), np.tile([-1, 1], 20)),
+}
+
+
+@pytest.mark.parametrize("data, k", [("six rows", 1), ("six rows", 2), ("alternating signs", 5)])
+def test_overflowing_distances_never_rank_a_row_itself(block, caplog, data, k):
+    # unscaled, a distance that overflows is inf, as is the entry that masks
+    # a row's own distance; the row must still never be its own neighbour
+    ds = Dataset(*map(np.asarray, OVERFLOWING[data]))
+    nb = assert_exact_table(ds.features, k, caplog, standardize=False, path="blocked")
+    assert not np.any(nb.table == np.arange(ds.n)[:, None])
+    everyone = FilterReport(n=ds.n, kept=np.arange(ds.n), rounds=())
+    with np.errstate(over="ignore"):  # the oracle's differences overflow
+        want = oracle_noise_filter(ds, k=k, standardize=False)
+        ref = oracle_knn_confidence(ds, everyone, k=k, standardize=False).gamma
+    assert_same_report(noise_filter(ds, k=k, neighbours=nb), want)
+    gamma = knn_confidence(ds, everyone, k=k, neighbours=nb).gamma
+    assert gamma.tobytes() == ref.tobytes()
+    if data == "six rows" and k == 1:
+        assert gamma[0] == 0.0  # row 1's vote; row 0's own would be 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
@@ -306,9 +356,10 @@ def test_few_rows_match_oracle(n):
 @pytest.mark.parametrize("k", [1, 2])
 def test_exhausted_table_re_searches_in_the_vote(k, caplog):
     ds = fallback_dataset(k)
-    report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), standardize=False)
+    nb = Neighbours(ds.features, k=k, standardize=False)
+    report = noise_filter(ds, k=k, thresholds=(0.6, 0.7), neighbours=nb)
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
-        gamma = knn_confidence(ds, report, k=k, standardize=False)
+        gamma = knn_confidence(ds, report, k=k, neighbours=nb)
     assert gamma.gamma.tobytes() == oracle_knn_confidence(ds, report, k=k, standardize=False).gamma.tobytes()
     (vote,) = [rec for rec in caplog.records if rec.name == "cbboost.confidence.vote"]
     rows, served, re_searched = vote.args
@@ -346,7 +397,7 @@ def einsum_table(X, depth):
             d = np.subtract(X[s : s + step, None, :], X[None, :, :], order="C")
             d2 = np.einsum("ijk,ijk->ij", d, d)
         q = np.arange(d2.shape[0])
-        d2[q, s + q] = np.inf
+        d2[q, s + q] = np.nan
         out[s : s + step] = confidence._rank(d2, depth)[0]
     return out
 
