@@ -23,7 +23,6 @@ import numpy as np
 
 from .boost import BoostConfig, BoostTrace, Ensemble, predict, train_adaboost, train_cb_adaboost
 from .confidence import (
-    CONFIDENCE_METHODS,
     DEFAULT_K,
     DEFAULT_THRESHOLDS,
     ConfidenceVector,
@@ -134,12 +133,9 @@ class ExperimentConfig:
         # a repeated entry would run its cells twice and keep one of them
         if len(set(self.noise_levels)) < len(self.noise_levels):
             raise ValueError(f"noise levels must not repeat, got {self.noise_levels}")
-        if self.confidence_method not in CONFIDENCE_METHODS:
-            raise ValueError(
-                f"confidence_method must be {' or '.join(map(repr, CONFIDENCE_METHODS))}, "
-                f"got {self.confidence_method!r}"
-            )
-        check_settings(self.k, self.filter_thresholds, self.confidence_form)
+        # every level is valid here; bayes needs one, and each cell passes its own
+        check_settings(self.k, self.filter_thresholds, self.confidence_form,
+                       method=self.confidence_method, noise_level=self.noise_levels[0])
         specs = [parse_method(m) for m in self.methods]
         if len(set(specs)) < len(specs):
             raise ValueError(f"methods must not repeat, got {self.methods}")

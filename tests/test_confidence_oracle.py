@@ -13,6 +13,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cbboost import confidence
 from cbboost.confidence import (
@@ -112,15 +115,22 @@ def grid_dataset(n, p, seed):
     return Dataset(X, np.where(score >= 0, 1, -1))
 
 
+def fallback_spokes(k):
+    # as many spokes as the center's table holds (a table on more rows than that)
+    return confidence._table_depth(k, 1 << 20)
+
+
 def fallback_dataset(k):
-    # a +1 center whose 4k nearest rows are +1 spokes, each with a -1 partner
-    # closer to it than the center; round one removes every spoke and partner
-    # but keeps the center, whose whole table is then gone
-    ang = 2.0 * np.pi * np.arange(4 * k) / (4 * k)
+    # a +1 center whose nearest rows, as many as its table holds, are +1
+    # spokes, each with a -1 partner closer to it than the center; round one
+    # removes every spoke and partner but keeps the center, whose whole table
+    # is then gone
+    spokes = fallback_spokes(k)
+    ang = 2.0 * np.pi * np.arange(spokes) / spokes
     unit = np.column_stack([np.cos(ang), np.sin(ang)])
     far = 20.0 + np.arange(3 * k + 2, dtype=np.float64)[:, None] * np.array([[0.3, 0.0]])
     X = np.vstack([[[0.0, 0.0]], unit, 1.2 * unit, far])
-    y = np.concatenate([[1], np.ones(4 * k), -np.ones(4 * k), np.ones(far.shape[0])])
+    y = np.concatenate([[1], np.ones(spokes), -np.ones(spokes), np.ones(far.shape[0])])
     return Dataset(X, y.astype(np.int64))
 
 
@@ -161,7 +171,7 @@ def test_exhausted_table_falls_back_to_exact_search(block, k, caplog):
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
         report = assert_matches_oracle(ds, k, thresholds=(0.6, 0.7), standardize=False)
     assert 0 in report.kept
-    assert report.rounds[0].removed.tolist() == list(range(1, 8 * k + 1))
+    assert report.rounds[0].removed.tolist() == list(range(1, 2 * fallback_spokes(k) + 1))
     re_searched = [rec.args[-1] for rec in caplog.records if rec.name == "cbboost.confidence"]
     assert re_searched == [0, 1]
 
@@ -204,9 +214,10 @@ def test_filter_round_debug_lines(caplog):
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
         report = noise_filter(ds, k=1, thresholds=(0.6, 0.7), neighbours=raw)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "cbboost.confidence"]
+    removed = 2 * fallback_spokes(1)
     assert lines == [
-        "filter round 1: threshold 0.6, 14 survivors in, 8 removed, 0 exact re-searches",
-        f"filter round 2: threshold 0.7, 6 survivors in, {report.rounds[1].removed.size} removed, "
+        f"filter round 1: threshold 0.6, {ds.n} survivors in, {removed} removed, 0 exact re-searches",
+        f"filter round 2: threshold 0.7, {ds.n - removed} survivors in, {report.rounds[1].removed.size} removed, "
         "1 exact re-searches",
     ]
 
@@ -273,7 +284,7 @@ def test_table_is_a_read_only_copy():
     nb = Neighbours(X, k=2)
     X[0, 0] += 1.0
     assert not np.array_equal(nb.features, X)
-    assert nb.table.shape == (50, 8)
+    assert nb.table.shape == (50, 10)
     for a in (nb.features, nb.X, nb.table):
         assert not a.flags.writeable
 
@@ -293,10 +304,11 @@ def test_mismatched_table_rejected():
             call(other, neighbours=Neighbours(noisy.features))
         with pytest.raises(ValueError, match="different feature matrix"):
             call(shifted, neighbours=Neighbours(noisy.features))
-        with pytest.raises(ValueError, match="holds 4 neighbours per row, k=5 needs 20"):
-            call(noisy, k=5, neighbours=Neighbours(noisy.features, k=1))
-        # a deeper table serves a smaller k
-        call(noisy, k=2, neighbours=Neighbours(noisy.features, k=5))
+        with pytest.raises(ValueError, match="holds 10 neighbours per row, k=6 needs 12"):
+            call(noisy, k=6, neighbours=Neighbours(noisy.features, k=5))
+        # a deeper table serves a smaller k, and every k up to 5 takes the floor depth
+        call(noisy, k=2, neighbours=Neighbours(noisy.features, k=6))
+        call(noisy, k=5, neighbours=Neighbours(noisy.features, k=1))
 
 
 def test_raw_table_gives_raw_distances_to_every_function():
@@ -370,6 +382,51 @@ def test_exhausted_table_re_searches_in_the_vote(k, caplog):
     )
 
 
+def test_re_search_reads_the_refs_column_contiguous(monkeypatch):
+    # the re-search's distance planes read contiguous columns of the refs,
+    # as the table search reads the matrix
+    ds = fallback_dataset(1)
+    nb = Neighbours(ds.features, k=1, standardize=False)
+    report = noise_filter(ds, k=1, thresholds=(0.6, 0.7), neighbours=nb)
+    layouts, k_nearest = [], confidence._k_nearest
+
+    def spy(queries, refs, k, exclude):
+        layouts.append(refs.flags.f_contiguous)
+        return k_nearest(queries, refs, k, exclude)
+
+    monkeypatch.setattr(confidence, "_k_nearest", spy)
+    gamma = knn_confidence(ds, report, k=1, neighbours=nb)
+    assert gamma.gamma.tobytes() == oracle_knn_confidence(ds, report, k=1, standardize=False).gamma.tobytes()
+    assert layouts and all(layouts)
+
+
+def oracle_agreement(X, labels, rows, refs, k):
+    d2 = oracle_sq_dists(X[rows], X[refs])
+    d2[rows[:, None] == refs[None, :]] = np.nan
+    nbr = refs[oracle_k_nearest(d2, k)]
+    return (labels[nbr] == labels[rows][:, None]).mean(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_agreement_matches_the_oracle(data):
+    # integer-grid rows tie often; a row's share of agreeing neighbours among
+    # any sorted reference set is the full-matrix oracle's, and exactly the
+    # rows left with fewer than k live table entries are searched again
+    n, p = data.draw(st.integers(2, 80)), data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, min(6, n - 1)))
+    X = data.draw(arrays(np.int8, (n, p), elements=st.integers(0, 3))).astype(np.float64)
+    labels = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    refs = np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=k + 1, unique=True)))
+    rows = refs if data.draw(st.sampled_from(["filter", "vote"])) == "filter" else np.arange(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(confidence, "_BLOCK", data.draw(st.sampled_from([64, 1 << 16])))
+        nb = Neighbours(X, k=k, standardize=data.draw(st.booleans()))
+        agree, redone = nb.agreement(rows, refs, labels, k)
+    assert agree.tobytes() == oracle_agreement(nb.X, labels, rows, refs, k).tobytes()
+    assert redone == np.count_nonzero(np.isin(nb.table[rows], refs).sum(axis=1) < k)
+
+
 # --- cell-grid table search against the blocked search and the full matrix ---
 
 
@@ -408,7 +465,7 @@ def assert_exact_table(features, k, caplog, standardize=True, path="cells"):
         caplog.clear()
         nb = Neighbours(features, k=k, standardize=standardize)
     ((rows, depth, got_path, *_),) = table_builds(caplog)
-    assert (rows, depth, got_path) == (nb.n, min(4 * k, nb.n - 1), path)
+    assert (rows, depth, got_path) == (nb.n, confidence._table_depth(k, nb.n), path)
     if depth:
         assert nb.table.tobytes() == einsum_table(nb.X, depth).tobytes()
         assert nb.table.tobytes() == confidence._k_nearest(nb.X, nb.X, depth, np.arange(nb.n)).tobytes()
@@ -458,14 +515,14 @@ def test_cells_far_apart_clusters(cells, block, caplog, p):
     # the small cluster holds fewer rows than the table depth, so its rows
     # widen their rings across empty cells until they reach the other one
     rng = np.random.default_rng(p)
-    X = np.vstack([rng.normal(size=(150, p)), 1000.0 + rng.normal(size=(12, p))])
-    y = np.where(rng.normal(size=162) + X[:, 0] > 0.0, 1, -1)
+    X = np.vstack([rng.normal(size=(150, p)), 1000.0 + rng.normal(size=(8, p))])
+    y = np.where(rng.normal(size=158) + X[:, 0] > 0.0, 1, -1)
     assert_cells_match_oracle(Dataset(X, y), 5, caplog, standardize=False)
     with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
         caplog.clear()
         Neighbours(X, k=5, standardize=False)
     ((*_, widened, _seconds),) = table_builds(caplog)
-    assert widened >= 12
+    assert widened >= 8
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
@@ -477,12 +534,12 @@ def test_cells_extreme_scales_unstandardized(cells, block, caplog, p, scale):
     assert_cells_match_oracle(Dataset(X, y), 3, caplog, standardize=False)
 
 
-@pytest.mark.parametrize("n", [2, 5, 6, 21, 22])
+@pytest.mark.parametrize("n", [2, 5, 6, 11, 12, 21, 22])
 def test_cells_few_rows(cells, block, caplog, n):
     rng = np.random.default_rng(n)
     ds = Dataset(rng.normal(size=(n, 2)), rng.choice([-1, 1], size=n))
     nb = assert_exact_table(ds.features, 5, caplog)
-    assert nb.table.shape == (n, min(20, n - 1))
+    assert nb.table.shape == (n, min(10, n - 1))
     assert_same_report(noise_filter(ds, k=5), oracle_noise_filter(ds, k=5))
 
 
@@ -605,8 +662,29 @@ def test_table_debug_line(caplog):
         Neighbours(gen_normal(40, seed=1).features, k=2)
     (rec,) = [rec for rec in caplog.records if rec.name == "cbboost.confidence.table"]
     assert rec.getMessage().startswith(
-        "neighbour table: 40 rows, depth 8, blocked search, 1600 distance pairs, 0 rows widened, "
+        "neighbour table: 40 rows, depth 10, blocked search, 1600 distance pairs, 0 rows widened, "
     )
+
+
+def test_depth_by_k_under_heavy_re_search(caplog):
+    # every k reads a table of the helper's depth, and under 40% noise the
+    # cell-grid tables of the floor depth (k=1) and of 2k (k=10) still serve
+    # the oracle's reports and votes, k=1 through exact re-searches
+    noisy, _ = inject_label_noise(gen_normal(1200, seed=3), 0.4, seed=4)
+    tables = {k: assert_exact_table(noisy.features, k, caplog) for k in (1, 2, 5, 10)}
+    assert [nb.table.shape[1] for nb in tables.values()] == [10, 10, 10, 20]
+    for k in (1, 10):
+        nb = tables[k]
+        with caplog.at_level(logging.DEBUG, logger="cbboost.confidence"):
+            caplog.clear()
+            report = noise_filter(noisy, k=k, neighbours=nb)
+            gamma = knn_confidence(noisy, report, k=k, neighbours=nb)
+        want = oracle_noise_filter(noisy, k=k)
+        assert_same_report(report, want)
+        assert gamma.gamma.tobytes() == oracle_knn_confidence(noisy, want, k=k).gamma.tobytes()
+        (vote,) = [rec for rec in caplog.records if rec.name == "cbboost.confidence.vote"]
+        if k == 1:
+            assert vote.args[-1] > 0
 
 
 # --- the search kernels against the forms they replaced ---

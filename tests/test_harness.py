@@ -99,7 +99,7 @@ class TestExperimentConfig:
             ExperimentConfig(repetitions=0)
         with pytest.raises(ValueError, match="noise levels"):
             ExperimentConfig(noise_levels=(0.5,))
-        with pytest.raises(ValueError, match="confidence_method"):
+        with pytest.raises(ValueError, match="unknown confidence method 'oracle'"):
             ExperimentConfig(confidence_method="oracle")
         for empty in ({"noise_levels": ()}, {"methods": ()}):
             with pytest.raises(ValueError, match="at least one noise level and one method"):
@@ -537,8 +537,8 @@ def test_each_method_spec_is_parsed_once_per_repetition(monkeypatch):
      "stop_rule must be 'fixed' or 'consistency', got 'bogus'"),
     (harness, "SCENARIOS", lambda v: ExperimentConfig(scenario=v),
      "scenario must be 'normal' or 'sine', got 'bogus'"),
-    (harness, "CONFIDENCE_METHODS", lambda v: ExperimentConfig(confidence_method=v),
-     "confidence_method must be 'knn' or 'bayes', got 'bogus'"),
+    (confidence, "CONFIDENCE_METHODS", lambda v: ExperimentConfig(confidence_method=v),
+     "unknown confidence method 'bogus', expected 'knn' or 'bayes'"),
     (confidence, "FORMS", lambda v: confidence.check_settings(form=v),
      "form must be 'consistent' or 'paper-literal', got 'bogus'"),
     (confidence, "CONFIDENCE_METHODS",
