@@ -21,23 +21,26 @@ rows whose entire neighbourhood the filter removed). The table depends on
 the features alone, so all noise levels of one training set can share it.
 With at most three features and at least a thousand or so rows, the table
 comes from a uniform cell grid (Bentley 1975): each row ranks only the rows
-of the cells around its own, widening the ring of cells until no row outside
-can come closer, so the search grows about linearly in n. Rows are ranked
-in chunks of similar candidate counts, so at most a quarter of the pairs a
-chunk computes are padding. Otherwise it is a brute-force O(n^2) search in
-query blocks of about 65 thousand (query, row, feature) terms (512 KB, sized
-to stay in cache), or one query's n*p when that is more. Both searches sum a
-block's squared distances one (queries, rows) plane per feature, read from
-the column-contiguous z-scored matrix, in the order numpy's einsum adds the
-terms of each pair, so both give the same table bit for bit, with the same
-tie rule, in O(block + n*k) memory. The
+of the cells around its own, starting from the smallest ring of cells that
+the grid's counts say holds a few times the table depth, and widening it
+until no row outside can come closer, so the search grows about linearly in
+n. Rows are ranked in chunks of similar candidate counts, so at most a
+quarter of the pairs a chunk computes are padding. Otherwise it is a
+brute-force O(n^2) search in query blocks of about 65 thousand (query, row,
+feature) terms (512 KB, sized to stay in cache); past eight features a block
+keeps up to 8 thousand (query, row) pairs per feature, or one query's n when
+that is more. Both searches sum a block's squared distances one (queries,
+rows) plane per feature, read from the column-contiguous z-scored matrix, in
+the order numpy's einsum adds the terms of each pair, so both give the same
+table bit for bit, with the same tie rule, in O(block + n*k) memory. The
 filter rounds and the vote read the table in blocks of rows as well and
 compare labels there, so serving holds the n-vector of label agreement it
 returns plus one block.
 CBBOOST_LOG=DEBUG logs one line per table build (rows, depth, search path,
-distance pairs computed, rows that needed a wider ring, seconds), one per
-filter round (threshold, survivors in, rows removed, re-searched rows) and
-one per vote (rows, rows served from the table, re-searched rows).
+distance pairs computed, rows that needed a wider ring than their first,
+seconds), one per filter round (threshold, survivors in, rows removed,
+re-searched rows) and one per vote (rows, rows served from the table,
+re-searched rows).
 """
 
 from __future__ import annotations
@@ -87,12 +90,18 @@ FORMS = ("consistent", "paper-literal")
 # data) at the same speed on a 2-vCPU x86 host, where 1 << 15 was slower at
 # n = 500.
 _BLOCK = 1 << 16
-# features p -> (fewest rows, rows per cell) of the cell-grid table search.
-# The fewest rows are the measured crossover with the blocked search; rows per
-# cell, averaged over the bounding box, measured fastest on normal and uniform
-# data at n = 2000 to 20000 (smaller cells pay in more dimensions, where a
-# ring of cells holds more rows). Other p take the blocked search.
-_CELL_GRID = {1: (1000, 8.0), 2: (1000, 2.0), 3: (2000, 0.5)}
+# features p -> (fewest rows, rows per cell, share, fill) of the cell-grid
+# table search. The fewest rows are the measured crossover with the blocked
+# search; rows per cell, averaged over the bounding box, measured fastest on
+# normal and uniform data at n = 2000 to 20000 (smaller cells pay in more
+# dimensions, where a ring of cells holds more rows). A row starts at the
+# smallest ring whose cells hold fill x depth rows, and a chunk holds
+# _BLOCK // share (query, candidate, feature) terms. At p = 2 the starting
+# rings and the smaller cells save enough pairs to pay for half-size chunks,
+# which set the search's peak; half-size chunks were ~5% slower at p = 1
+# (uniform and integer-grid data, n = 20000 and 50000) and 13-22% slower at
+# p = 3 (n = 5000 and 20000). Other p take the blocked search.
+_CELL_GRID = {1: (1000, 8.0, 1, 1.5), 2: (1000, 1.25, 2, 3.0), 3: (2000, 0.5, 1, 3.0)}
 # a grid whose first ring of cells would hold more than this share of the n^2
 # pairs (heavy tails or tight clusters crowd most rows into a few cells) is
 # dropped for the blocked search, which computes a pair several times faster
@@ -207,15 +216,17 @@ def _k_nearest(queries: np.ndarray, refs: np.ndarray, k: int, exclude: np.ndarra
     """Reference positions of each query's k nearest refs, in (distance, position) order.
 
     exclude[i] >= 0 names a reference position query i may not pick (itself);
-    -1 excludes nothing. Queries run in blocks so a block's distance planes
-    stay near _BLOCK doubles together. A row is ordered by sorting its
-    argpartition top-k; a row where ties straddle the k-th distance is redone
-    from all candidates at or below it, so equal distances always resolve to
-    the lower position.
+    -1 excludes nothing. Queries run in blocks whose distance planes hold
+    about _BLOCK doubles together. Past eight features each plane holds up to
+    max(_BLOCK // 8, m) instead: blocks of _BLOCK terms would shrink towards
+    one query, and numpy's per-call overhead would set the time. A row is
+    ordered by sorting its argpartition top-k; a row where ties straddle the
+    k-th distance is redone from all candidates at or below it, so equal
+    distances always resolve to the lower position.
     """
     m, p = refs.shape
     out = np.empty((queries.shape[0], k), dtype=np.int64)
-    step = max(1, _BLOCK // (m * p))
+    step = max(1, _BLOCK // (m * p), _BLOCK // (8 * m))
     for s in range(0, queries.shape[0], step):
         d2 = _sq_dists(queries[s : s + step], refs)
         ex = exclude[s : s + step]
@@ -257,6 +268,19 @@ def _cell_side(span: np.ndarray, cells: float) -> float:
     return 1.0
 
 
+def _block_rows(total: np.ndarray, at: np.ndarray, ring: int | np.ndarray) -> np.ndarray:
+    """Rows in the block of cells within `ring` of each cell at[i] (one row of
+    cell coordinates each), clipped to the grid. total holds the grid's counts
+    summed along every axis, after a leading zero on each, so a block's count
+    adds and subtracts total at its 2^p corners."""
+    ends = (np.maximum(at - ring, 0), np.minimum(at + ring + 1, np.array(total.shape) - 1))
+    rows = 0
+    for corner in itertools.product((0, 1), repeat=at.shape[1]):
+        sign = -1 if (at.shape[1] - sum(corner)) % 2 else 1
+        rows = rows + sign * total[tuple(ends[e][:, f] for f, e in enumerate(corner))]
+    return rows
+
+
 def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None:
     """_k_nearest(X, X, depth, range(n)), found through a uniform cell grid.
 
@@ -269,27 +293,33 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     largest coordinate in the cells below the block and the smallest in the
     cells above. Rounding is monotone, so no outside row's computed squared
     distance can fall below the computed square of the row's gap to those
-    coordinates (clamped at zero), and no slack is needed. A row short of the
-    bound retries with the ring its depth-th distance calls for, at least R+1;
-    a row with too few candidates doubles R. Queries are taken in order of
-    width, in chunks whose rows are at least 3/4 as wide as their first; a
-    chunk is padded to that first row's width, so at most a quarter of its
-    pairs are padding, and its queries x candidates x p stay near _BLOCK (its
-    distance planes hold two (queries, candidates) arrays at most). Returns the table, the distance pairs computed (padding
-    included) and the number of rows that needed a wider ring; or None, before
-    any distance is computed, where the blocked search is the one to use: too
-    many features or too few rows (_CELL_GRID), a span whose squares overflow
-    (infinite distances, which no bound can separate) or cells too crowded to
-    pay (_CELL_CROWDED).
+    coordinates (clamped at zero), and no slack is needed. A row starts at the
+    smallest ring whose block holds fill * depth rows by the grid's counts
+    (_CELL_GRID), or at the ring that covers the grid, so every block holds
+    at least depth other rows. A row short of the bound retries with the ring
+    its depth-th distance calls for, at least R+1. Rows of every ring are
+    taken together, in order of width, in chunks whose rows are at least 3/4
+    as wide as their first; a chunk is padded to that first row's width, so
+    at most a quarter of its pairs are padding, and its queries x candidates x
+    p stay near the grid's budget for p, _BLOCK // share (its distance planes
+    hold two (queries, candidates) arrays at most). Returns the table, the
+    distance pairs computed (padding included) and the number of rows widened,
+    those their starting ring did not certify; or None, before any distance
+    is computed, where the blocked search is the one to use: too many features
+    or too few rows (_CELL_GRID), a span whose squares overflow (infinite
+    distances, which no bound can separate) or cells too crowded to pay
+    (_CELL_CROWDED).
     """
     n, p = X.shape
     if p not in _CELL_GRID or n < _CELL_GRID[p][0]:
         return None
+    _, per_cell, share, fill = _CELL_GRID[p]
+    budget = _BLOCK // share
     with np.errstate(over="ignore"):
         span = np.ptp(X, axis=0)
         if not np.isfinite(np.sum(np.square(span))):
             return None
-    side = _cell_side(span, n / _CELL_GRID[p][1])
+    side = _cell_side(span, n / per_cell)
     # the grid reads X's columns with the dimension with the most cells last,
     # so a block is a few long runs of consecutive cells
     G = [X[:, f] for f in np.argsort(span, kind="stable")]
@@ -301,16 +331,27 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     cell = coord @ strides
     counts = np.bincount(cell, minlength=int(np.prod(shape)))
-    # rows in the 3^p cells around each cell: the first ring's candidates
-    near = counts.reshape(shape)
+    total = counts.reshape(shape)
     for f in range(p):
-        near = np.moveaxis(near, f, 0)
-        ring1 = near.copy()
-        ring1[1:] += near[:-1]
-        ring1[:-1] += near[1:]
-        near = np.moveaxis(ring1, 0, f)
-    if counts @ near.ravel() > _CELL_CROWDED * n * n:
+        total = np.cumsum(total, axis=f)
+    total = np.pad(total, [(1, 0)] * p)
+    filled = np.flatnonzero(counts)
+    at = np.column_stack(np.unravel_index(filled, shape))
+    # the first ring's candidate pairs: each filled cell's rows times the rows
+    # of the 3^p cells around it
+    if counts[filled] @ _block_rows(total, at, 1) > _CELL_CROWDED * n * n:
         return None
+    full = int(shape.max()) - 1  # the ring that covers the whole grid
+    # each filled cell's starting ring, by bisection over 1..full: O(cells *
+    # log full) however wide the grid's empty spans
+    low, high = np.ones(filled.size, dtype=np.int64), np.full(filled.size, full)
+    while np.any(low < high):
+        mid = (low + high) // 2
+        enough = _block_rows(total, at, mid[:, None]) >= fill * depth
+        high, low = np.where(enough, mid, high), np.where(enough, low, mid + 1)
+    start = np.zeros(counts.size, dtype=np.int64)
+    start[filled] = high
+    del total, filled, at, low, high
     order = np.argsort(cell, kind="stable")
     starts = np.append(0, np.cumsum(counts))
     # below[f][c]: the largest G[:, f] in cells with coordinate < c along f;
@@ -326,51 +367,47 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
     # the working table in 32 bits while row indices fit, half the memory;
     # Neighbours keeps an int64 copy
     table = np.empty((n, depth), dtype=np.int32 if n < 2**31 else np.int64)
-    pairs = widened = 0
-    full = int(shape.max()) - 1  # the ring that covers the whole grid
-    pending, rings = order, np.ones(n, dtype=np.int64)
+    pairs, widened = 0, None
+    pending, rings = order, start[cell[order]]
+    del cell, start
     while pending.size:
-        ring = int(rings.min())
-        now = rings == ring
-        retry, retry_rings = [pending[~now]], [rings[~now]]
-        # the block's runs of cells along the last dimension, one per offset
-        # of the leading ones; each run is a contiguous slice of `order`
-        reach = [range(-min(ring, s - 1), min(ring, s - 1) + 1) for s in shape[:-1]]
-        offs = list(itertools.product(*reach))
-        offs = np.array(offs, dtype=np.int64).reshape(len(offs), p - 1)
-        todo = pending[now]
-        step = max(1, _BLOCK // (offs.shape[0] * p))
-        for s in range(0, todo.size, step):
-            rows = todo[s : s + step]
+        retry, retry_rings = [], []
+        # rows of every ring share a pass, in steps whose candidate runs
+        # (first and runs) hold about budget / p entries together; a row's
+        # block has at most 2 ring + 1 cells along each leading dimension
+        most = np.ones(pending.size, dtype=np.int64)
+        for size in shape[:-1]:
+            most *= np.minimum(2 * rings + 1, size)
+        ends = np.cumsum(most)
+        del most
+        s = 0
+        while s < pending.size:
+            e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + budget // (2 * p), side="right")))
+            rows, ring = pending[s:e], rings[s:e]
+            s = e
             c = coord[rows]
-            lead = c[:, None, :-1] + offs
-            inside = np.all((lead >= 0) & (lead < shape[:-1]), axis=2)
-            base = np.where(inside, lead @ strides[:-1], 0)
-            first = starts[base + np.maximum(c[:, -1:] - ring, 0)]
-            runs = np.where(inside, starts[base + np.minimum(c[:, -1:] + ring, shape[-1] - 1) + 1] - first, 0)
-            del lead, inside, base  # the chunks below set the peak; these are spent
-            width = runs.sum(axis=1)
+            first, runs, nruns = _block_runs(c, ring, shape, strides, starts)
+            head = np.cumsum(nruns) - nruns  # each row's first run
+            width = np.add.reduceat(runs, head)
             gap = np.full(rows.size, np.inf)
             for f in range(p):
                 g = G[f][rows]
                 gap = np.minimum(gap, g - below[f][np.maximum(c[:, f] - ring, 0)])
                 gap = np.minimum(gap, above[f][np.minimum(c[:, f] + ring + 1, shape[f])] - g)
             bound = np.square(np.maximum(gap, 0.0))
-            short = width <= depth
-            retry.append(rows[short])
-            retry_rings.append(np.full(np.count_nonzero(short), min(2 * ring, full)))
-            wide = np.flatnonzero(~short)
-            wide = wide[np.argsort(-width[wide], kind="stable")]
+            del c, g, gap  # the chunks below set the peak; these are spent
+            wide = np.argsort(-width, kind="stable")
             # -4 * width ascends; a chunk keeps the rows at least 3/4 as wide as its first
             falling = -4 * width[wide]
             q = 0
             while q < wide.size:
                 w = int(width[wide[q]])
-                end = min(q + max(1, _BLOCK // (w * p)), int(np.searchsorted(falling, -3 * w, side="right")))
+                end = min(q + max(1, budget // (w * p)), int(np.searchsorted(falling, -3 * w, side="right")))
                 chunk = wide[q:end]
                 q = end
+                mine = _ranges(head[chunk], nruns[chunk])
                 # a list is padded with its own row, which is masked out with it
-                cand = _gather_runs(order, first[chunk], runs[chunk], w, rows[chunk])
+                cand = _gather_runs(order, first[mine], runs[mine], width[chunk], w, rows[chunk])
                 d2 = _sq_dists(X[rows[chunk]], X, cand)
                 d2[cand == rows[chunk, None]] = np.inf
                 pairs += d2.size
@@ -380,29 +417,58 @@ def _cell_table(X: np.ndarray, depth: int) -> tuple[np.ndarray, int, int] | None
                 retry.append(rows[chunk[~done]])
                 # a ring R keeps rows nearer than R cell sides inside the block
                 need = np.minimum(np.ceil(np.sqrt(kth[~done]) / side), full)
-                retry_rings.append(np.maximum(need.astype(np.int64), ring + 1))
-                del cand, d2, nearest  # spent; not held through the next chunk's gather
+                retry_rings.append(np.maximum(need.astype(np.int64), ring[chunk[~done]] + 1))
+                del cand, d2, nearest, mine  # spent; not held through the next chunk's gather
         pending, rings = np.concatenate(retry), np.concatenate(retry_rings)
-        if ring == 1:
+        if widened is None:
             widened = pending.size
     return table, pairs, widened
 
 
-def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, width: int, pad: np.ndarray) -> np.ndarray:
-    """Each query's rows order[first[i, j] : first[i, j] + runs[i, j]] over j, padded with
-    pad[i] to `width` columns and sorted, so candidate position follows row index."""
-    count = runs.sum(axis=1)
-    lengths = runs.ravel()
-    some = lengths > 0
-    head, lengths = first.ravel()[some], lengths[some]
-    # the runs back to back: entry t of run r, which starts at entry s_r,
-    # reads position head[r] + (t - s_r)
+def _ranges(heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions heads[i] : heads[i] + lengths[i], back to back over i."""
+    # entry t of range r, which starts at entry s_r, reads heads[r] + (t - s_r)
     ends = np.cumsum(lengths)
-    pos = np.repeat(head - (ends - lengths), lengths)
+    pos = np.repeat(heads - (ends - lengths), lengths)
     pos += np.arange(pos.size)
+    return pos
+
+
+def _block_runs(c: np.ndarray, ring: np.ndarray, shape: np.ndarray, strides: np.ndarray,
+                starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the block of cells within ring[i] of cell c[i] (a row of cell
+    coordinates), clipped to the grid, as runs of cells along its last
+    dimension: one run per cell of the block's leading dimensions.
+
+    Block i's nruns[i] runs lie back to back; run j covers order[first[j] :
+    first[j] + runs[j]], a contiguous slice of the rows sorted by cell (cell
+    x's rows start at starts[x]).
+    """
+    lo = np.maximum(c - ring[:, None], 0)
+    hi = np.minimum(c + ring[:, None], shape - 1)
+    across = hi[:, :-1] - lo[:, :-1] + 1  # the block's cells along each leading dimension
+    nruns = np.prod(across, axis=1)
+    owner = np.repeat(np.arange(nruns.size), nruns)
+    # each run's cell along the leading dimensions, the last varying fastest
+    t = _ranges(np.zeros_like(nruns), nruns)
+    base = np.zeros(t.size, dtype=np.int64)
+    for f in range(c.shape[1] - 2, -1, -1):
+        t, o = np.divmod(t, across[owner, f])
+        base += (lo[owner, f] + o) * strides[f]
+    first = starts[base + lo[owner, -1]]
+    runs = starts[base + hi[owner, -1] + 1] - first
+    return first, runs, nruns
+
+
+def _gather_runs(order: np.ndarray, first: np.ndarray, runs: np.ndarray, count: np.ndarray, width: int,
+                 pad: np.ndarray) -> np.ndarray:
+    """Each query's rows order[first[j] : first[j] + runs[j]] over its runs, which
+    lie back to back and hold count[i] rows for query i, padded with pad[i] to
+    `width` columns and sorted, so candidate position follows row index."""
+    pos = _ranges(first, runs)
     cand = np.repeat(pad.astype(np.int64)[:, None], width, axis=1)
     # a query's first count[i] columns, in row-major order like its runs
-    cand[np.arange(width) < count[:, None]] = order[pos]
+    cand[np.arange(width) < count[:, None]] = order.take(pos, out=pos, mode="wrap")
     cand.sort(axis=1)
     return cand
 

@@ -430,13 +430,16 @@ def test_agreement_matches_the_oracle(data):
 # --- cell-grid table search against the blocked search and the full matrix ---
 
 
-@pytest.fixture
-def cells(monkeypatch):
+def grid_everywhere(mp):
     # every p the cell grid serves takes it from the first row on, however
     # crowded its cells
-    grid = {p: (0, rows) for p, (_, rows) in confidence._CELL_GRID.items()}
-    monkeypatch.setattr(confidence, "_CELL_GRID", grid)
-    monkeypatch.setattr(confidence, "_CELL_CROWDED", np.inf)
+    mp.setattr(confidence, "_CELL_GRID", {p: (0, *rest) for p, (_, *rest) in confidence._CELL_GRID.items()})
+    mp.setattr(confidence, "_CELL_CROWDED", np.inf)
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    grid_everywhere(monkeypatch)
 
 
 def table_builds(caplog):
@@ -511,18 +514,26 @@ def test_cells_constant_column_and_identical_rows(cells, block, caplog):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_cells_far_apart_clusters(cells, block, caplog, p):
-    # the small cluster holds fewer rows than the table depth, so its rows
-    # widen their rings across empty cells until they reach the other one
+def test_cells_far_apart_clusters(cells, block, caplog, monkeypatch, p):
+    # the small cluster holds fewer rows than the table depth, so the grid's
+    # counts start its rows at a ring that spans the empty cells to the other
+    # cluster: each is ranked once, against rows of both
     rng = np.random.default_rng(p)
     X = np.vstack([rng.normal(size=(150, p)), 1000.0 + rng.normal(size=(8, p))])
     y = np.where(rng.normal(size=158) + X[:, 0] > 0.0, 1, -1)
     assert_cells_match_oracle(Dataset(X, y), 5, caplog, standardize=False)
-    with caplog.at_level(logging.DEBUG, logger="cbboost.confidence.table"):
-        caplog.clear()
-        Neighbours(X, k=5, standardize=False)
-    ((*_, widened, _seconds),) = table_builds(caplog)
-    assert widened >= 8
+    lowest, sq_dists = [], confidence._sq_dists
+
+    def spy(queries, refs, cand=None):
+        if cand is not None:
+            # the lowest candidate of each far row ranked
+            lowest.extend(cand[queries[:, 0] > 500.0].min(axis=1))
+        return sq_dists(queries, refs, cand)
+
+    monkeypatch.setattr(confidence, "_sq_dists", spy)
+    Neighbours(X, k=5, standardize=False)
+    assert len(lowest) == 8
+    assert max(lowest) < 150
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
@@ -555,6 +566,27 @@ def test_cells_noisy_normal_and_shared_table(cells, block, caplog):
         assert knn_confidence(noisy, report, neighbours=nb).gamma.tobytes() == ref
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cells_starting_rings_match_einsum(data):
+    # a dense cluster inside a sparse cloud, on a lattice or not: starting
+    # rings differ widely from cell to cell, and lattice rows tie
+    n, p, k = data.draw(st.integers(40, 400)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    inner = data.draw(st.integers(0, n))
+    spread = data.draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    lattice = data.draw(st.sampled_from([None, 0.05, 0.5, 2.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = np.vstack([rng.uniform(-10.0, 10.0, size=(n - inner, p)), rng.normal(0.0, spread, size=(inner, p))])
+    if lattice:
+        X = np.round(X / lattice) * lattice
+    with pytest.MonkeyPatch.context() as mp:
+        grid_everywhere(mp)
+        mp.setattr(confidence, "_BLOCK", data.draw(st.sampled_from([64, 1 << 16])))
+        mp.setattr(confidence, "_k_nearest", None)  # the blocked search would fail here
+        nb = Neighbours(X, k=k, standardize=data.draw(st.booleans()))
+    assert nb.table.tobytes() == einsum_table(nb.X, confidence._table_depth(k, n)).tobytes()
+
+
 def cluster_in_a_cloud(seed):
     # a tight cluster inside a sparse cloud: cluster rows meet hundreds of
     # candidates, cloud rows a few dozen
@@ -565,7 +597,7 @@ def cluster_in_a_cloud(seed):
 @pytest.mark.parametrize("data", ["cluster in a cloud", "normal"])
 def test_cells_chunks_of_similar_width(cells, block, caplog, monkeypatch, data):
     # each chunk computes at most 4/3 of its rows' real candidate pairs, and
-    # its (rows, width, p) temporary stays within _BLOCK doubles
+    # its (rows, width, p) temporary stays within the grid's budget for p
     X = cluster_in_a_cloud(seed=2) if data == "cluster in a cloud" else gen_normal(5000, seed=7).features
     chunks, sq_dists = [], confidence._sq_dists
 
@@ -580,9 +612,28 @@ def test_cells_chunks_of_similar_width(cells, block, caplog, monkeypatch, data):
     assert_exact_table(X, 5, caplog)
     widths = np.concatenate([real for _, real in chunks])
     assert widths.max() > 4 * widths.min()
+    budget = confidence._BLOCK // confidence._CELL_GRID[X.shape[1]][2]
     for (rows, width), real in chunks:
         assert 3 * rows * width <= 4 * real.sum()
-        assert rows == 1 or rows * width * X.shape[1] <= confidence._BLOCK
+        assert rows == 1 or rows * width * X.shape[1] <= budget
+
+
+def test_cells_widened_rows_are_those_ranked_again(cells, block, caplog, monkeypatch):
+    # the DEBUG line's rows widened are the rows their starting ring did not
+    # certify: each of them, and no other row, is ranked again, wider
+    ranked, gather_runs = [], confidence._gather_runs
+
+    def spy(order, first, runs, count, width, pad):
+        ranked.append(pad)
+        return gather_runs(order, first, runs, count, width, pad)
+
+    monkeypatch.setattr(confidence, "_gather_runs", spy)
+    X = cluster_in_a_cloud(seed=3)
+    assert_exact_table(X, 5, caplog)
+    ((*_, widened, _seconds),) = table_builds(caplog)
+    _, times = np.unique(np.concatenate(ranked), return_counts=True)
+    assert times.size == X.shape[0]
+    assert widened == np.count_nonzero(times > 1) > 0
 
 
 def test_cells_table_peak_memory(cells):
@@ -596,7 +647,7 @@ def test_cells_table_peak_memory(cells):
     assert peak < 12e6
 
 
-@pytest.mark.parametrize("n, path, bound", [(5000, "cells", 6e6), (500, "blocked", 2e6)])
+@pytest.mark.parametrize("n, path, bound", [(5000, "cells", 1.8e6), (500, "blocked", 2e6)])
 def test_table_peak_memory_by_path(caplog, n, path, bound):
     # the query blocks' temporaries set the peak of either search
     X = gen_normal(n, seed=1).features
@@ -646,6 +697,21 @@ def test_search_path_by_rows_and_features(caplog):
     assert_exact_table(grid, 5, caplog, path="blocked")
     for p in (13, 34):
         assert_exact_table(rng.normal(size=(1000, p)), 5, caplog, path="blocked")
+
+
+def test_wide_rows_share_a_query_block(caplog, monkeypatch):
+    # at p=60 a block of _BLOCK terms would hold one query; a block keeps
+    # several, each plane within _BLOCK // 8 pairs, and the table its bits
+    blocks, sq_dists = [], confidence._sq_dists
+
+    def spy(queries, refs, cand=None):
+        blocks.append((queries.shape[0], refs.shape[0]))
+        return sq_dists(queries, refs, cand)
+
+    monkeypatch.setattr(confidence, "_sq_dists", spy)
+    assert_exact_table(np.random.default_rng(6).normal(size=(1000, 60)), 5, caplog, path="blocked")
+    assert min(q for q, _ in blocks) > 1
+    assert max(q * m for q, m in blocks) <= confidence._BLOCK // 8
 
 
 @pytest.mark.parametrize("X", [
@@ -757,7 +823,7 @@ def test_gathered_runs_match_the_running_sum_build(seed):
     first = rng.integers(0, n - 6, size=(q, r))
     pad = rng.integers(0, n, size=q)
     width = int(runs.sum(axis=1).max()) + int(rng.integers(0, 3))
-    cand = confidence._gather_runs(order, first, runs, width, pad)
+    cand = confidence._gather_runs(order, first.ravel(), runs.ravel(), runs.sum(axis=1), width, pad)
     want = np.repeat(pad[:, None], width, axis=1)
     want[np.arange(width) < runs.sum(axis=1)[:, None]] = order[running_sum_positions(first, runs)]
     want.sort(axis=1)
