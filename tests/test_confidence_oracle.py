@@ -647,7 +647,11 @@ def test_cells_table_peak_memory(cells):
     assert peak < 12e6
 
 
-@pytest.mark.parametrize("n, path, bound", [(5000, "cells", 1.8e6), (500, "blocked", 2e6)])
+@pytest.mark.parametrize("n, path, bound", [
+    (5000, "cells", 6e6),
+    (5000, "cells", 1.8e6),
+    (500, "blocked", 2e6),
+])
 def test_table_peak_memory_by_path(caplog, n, path, bound):
     # the query blocks' temporaries set the peak of either search
     X = gen_normal(n, seed=1).features
